@@ -20,7 +20,7 @@ from hurstlab.montecarlo import METHODS
 from hurstlab.report import plot_data_files, report_to_csv
 
 cells = make_grid(lambdas=[0.5, 3.0], sizes=[128, 1024], iteration_counts=[200])
-report = run_grid(cells, master_seed=42, threads=1)
+report = run_grid(cells, master_seed=42)
 print(f"{len(report.cells)} cells in {report.metadata.duration_seconds:.1f}s "
       f"(generator: {report.metadata.generator})")
 

@@ -3,7 +3,9 @@
 The three estimators all reduce a series to (scale, statistic) pairs and
 regress log(statistic) on log(scale); what differs is the statistic and how
 the Hurst exponent is read off the slope. The types here carry that shared
-structure.
+structure. The estimators work on a (rows, N) matrix of equal-length series
+at once; :class:`LogLogFits` holds the per-row outcome, and a single-series
+estimate is its one-row case.
 """
 
 from __future__ import annotations
@@ -13,16 +15,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientWindows
-from .regression import RegressionFit, ols_fit
+from .regression import RegressionFit, fit_rows
 
 __all__ = [
     "ScalePoint",
     "EstimatorResult",
+    "LogLogFits",
     "WindowPolicy",
     "DEFAULT_POLICY",
     "WARN_NONSTATIONARY",
     "divisors",
-    "loglog_fit",
+    "loglog_fits",
 ]
 
 # Warning code attached by DFA when the fitted exponent exceeds 1.
@@ -114,7 +117,47 @@ class WindowPolicy:
 DEFAULT_POLICY = WindowPolicy()
 
 
-def loglog_fit(points: list[ScalePoint]) -> RegressionFit:
-    """OLS fit of log(statistic) against log(scale)."""
-    xy = np.log([(p.scale, p.statistic) for p in points])
-    return ols_fit(xy)
+@dataclass(frozen=True)
+class LogLogFits:
+    """Log-log regressions of a batch of equal-length series, one per row.
+
+    ``statistics`` has one row per series and one column per scale. A row
+    with a NaN or non-positive statistic failed: its fit and its ``hurst``
+    are NaN. ``hurst`` is the method's mapping of ``slope``.
+    """
+
+    method: str
+    scales: tuple[int, ...]
+    statistics: np.ndarray
+    slope: np.ndarray
+    intercept: np.ndarray
+    residual_rms: np.ndarray
+    hurst: np.ndarray
+
+    def result(self, row: int = 0, warnings: tuple[str, ...] = ()) -> EstimatorResult:
+        """The EstimatorResult of one (successful) row."""
+        fit = RegressionFit(
+            slope=float(self.slope[row]),
+            intercept=float(self.intercept[row]),
+            n_points=len(self.scales),
+            residual_rms=float(self.residual_rms[row]),
+        )
+        points = tuple(
+            ScalePoint(scale=s, statistic=float(v))
+            for s, v in zip(self.scales, self.statistics[row])
+        )
+        return EstimatorResult(method=self.method, hurst=float(self.hurst[row]),
+                               fit=fit, points=points, warnings=warnings)
+
+
+def loglog_fits(method: str, scales, statistics: np.ndarray) -> LogLogFits:
+    """Row-wise OLS of log(statistic) against log(scale); ``hurst`` = slope.
+
+    *statistics* is (rows, len(scales)). Non-positive or NaN statistics
+    have no log, so their rows come out NaN.
+    """
+    scales = tuple(scales)
+    logs = np.log(np.where(statistics > 0.0, statistics, np.nan))
+    slope, intercept, residual_rms = fit_rows(np.log(np.array(scales, dtype=float)), logs)
+    return LogLogFits(method=method, scales=scales, statistics=statistics, slope=slope,
+                      intercept=intercept, residual_rms=residual_rms, hurst=slope)

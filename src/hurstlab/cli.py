@@ -7,7 +7,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 input/parse error, 3 estimation/simulation error,
 4 output I/O error. The master seed resolves as CLI flag, then the
-HURSTLAB_SEED environment variable, then the built-in default.
+HURSTLAB_SEED environment variable, then the built-in default; it must lie
+in [0, 2**64 - 1], the range the stream derivation distinguishes.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .vtp import estimate_vtp
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "HURSTLAB_SEED"
+MAX_SEED = 2**64 - 1
 MIN_CLI_OBSERVATIONS = 16
 
 EXIT_OK = 0
@@ -89,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default=list(DEFAULT_ITERATION_COUNTS))
     sim.add_argument("--seed", type=int, default=None,
                      help=f"master seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-    sim.add_argument("--threads", type=int, default=1)
     sim.add_argument("--out", default=None,
                      help="report path (default hurst_report.<format>)")
     sim.add_argument("--format", choices=("json", "csv"), default="json")
@@ -109,14 +110,18 @@ class _InputError(HurstLabError):
 
 def _resolve_seed(flag_value: int | None) -> int:
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+        seed, source = flag_value, "--seed"
+    else:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            return DEFAULT_SEED
         try:
-            return int(env)
+            seed, source = int(env), SEED_ENV_VAR
         except ValueError:
             raise _InputError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
-    return DEFAULT_SEED
+    if not 0 <= seed <= MAX_SEED:
+        raise _InputError(f"{source} {seed} is outside [0, 2**64 - 1]")
+    return seed
 
 
 def _build_policy(args) -> WindowPolicy:
@@ -168,12 +173,14 @@ def cmd_estimate(args) -> int:
 def cmd_simulate(args) -> int:
     policy = _build_policy(args)
     seed = _resolve_seed(args.seed)
-    cells = make_grid(args.lambdas, args.sizes, args.iteration_counts)
+    try:
+        cells = make_grid(args.lambdas, args.sizes, args.iteration_counts)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
     report = run_grid(
         cells, seed, policy,
         sd_mode=args.sd_mode,
         vtp_divisors_only=args.vtp_divisors_only,
-        threads=args.threads,
     )
 
     out = Path(args.out) if args.out else Path(f"hurst_report.{args.format}")

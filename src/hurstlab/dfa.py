@@ -8,6 +8,10 @@ profile, which the line fit removes exactly, so F(m) is unchanged. The Hurst
 estimate is the slope of log mean-fluctuation against log window length;
 slopes above 1 are possible and flag non-stationarity or a failed detrend,
 so they yield a warning rather than an error.
+
+The fluctuations are computed for a (rows, N) batch of series at once;
+:func:`dfa_batch` is what the simulation grid runs, and the
+single-series functions are its one-row case.
 """
 
 from __future__ import annotations
@@ -18,14 +22,23 @@ from .base import (
     DEFAULT_POLICY,
     WARN_NONSTATIONARY,
     EstimatorResult,
+    LogLogFits,
     ScalePoint,
     WindowPolicy,
-    loglog_fit,
+    loglog_fits,
 )
 from .errors import WindowTooSmall, ZeroFluctuation
+from .regression import fit_rows
 from .series import as_series, segment_matrix
 
-__all__ = ["detrended_fluctuation", "dfa_statistic", "estimate_dfa", "DFA_MIN_WINDOW"]
+__all__ = [
+    "detrended_fluctuation",
+    "dfa_fluctuations",
+    "dfa_statistic",
+    "dfa_batch",
+    "estimate_dfa",
+    "DFA_MIN_WINDOW",
+]
 
 # Hard floor for DFA windows: n = 3 leaves a single residual degree of
 # freedom after the 2-parameter line fit and produces very noisy F.
@@ -33,46 +46,57 @@ DFA_MIN_WINDOW = 4
 
 
 def _fluctuations(seg: np.ndarray) -> np.ndarray:
-    """Per-row RMS residual of the cumulative profile about its OLS line."""
-    n = seg.shape[1]
-    profiles = np.cumsum(seg, axis=1)
-    t = np.arange(1.0, n + 1.0)
-    tc = t - t.mean()
-    sxx = tc @ tc
-    slopes = profiles @ tc / sxx
-    intercepts = profiles.mean(axis=1) - slopes * t.mean()
-    residuals = profiles - slopes[:, None] * t - intercepts[:, None]
-    return np.sqrt((residuals * residuals).mean(axis=1))
+    """RMS residual of each subseries' cumulative profile about its OLS line,
+    for every subseries along the last axis."""
+    n = seg.shape[-1]
+    if n < 3:
+        raise WindowTooSmall(f"DFA needs n >= 3, got {n}")
+    return fit_rows(np.arange(1.0, n + 1.0), np.cumsum(seg, axis=-1))[2]
 
 
 def detrended_fluctuation(subseries) -> float:
     """RMS fluctuation of one subseries' cumulative profile about its trend line."""
-    arr = as_series(subseries)
-    if arr.shape[0] < 3:
-        raise WindowTooSmall(f"DFA needs n >= 3, got {arr.shape[0]}")
-    return float(_fluctuations(arr[None, :])[0])
+    return float(_fluctuations(as_series(subseries)))
+
+
+def dfa_fluctuations(x: np.ndarray, windows) -> np.ndarray:
+    """Mean fluctuation of each row of *x* (rows, N) at each window length.
+
+    Returns a (rows, len(windows)) matrix; 0 marks a row whose cumulative
+    profile is linear in every subseries of that window.
+    """
+    out = np.empty((x.shape[0], len(windows)))
+    for j, n in enumerate(windows):
+        f = _fluctuations(segment_matrix(x, n))
+        out[:, j] = f.sum(axis=-1) / f.shape[-1]
+    return out
+
+
+def _raise_zero(windows, stats: np.ndarray) -> None:
+    for n, value in zip(windows, stats):
+        if value == 0.0:
+            raise ZeroFluctuation(
+                f"mean fluctuation at n={n} is 0 (cumulative profile is linear)"
+            )
 
 
 def dfa_statistic(series, n: int) -> ScalePoint:
     """Mean fluctuation over all subseries of length n."""
-    if n < 3:
-        raise WindowTooSmall(f"DFA needs n >= 3, got {n}")
-    arr = as_series(series)
-    mean_f = float(_fluctuations(segment_matrix(arr, n)).mean())
-    if mean_f == 0.0:
-        raise ZeroFluctuation(
-            f"mean fluctuation at n={n} is 0 (cumulative profile is linear)"
-        )
-    return ScalePoint(scale=n, statistic=mean_f)
+    stats = dfa_fluctuations(as_series(series)[None, :], [n])[0]
+    _raise_zero([n], stats)
+    return ScalePoint(scale=n, statistic=float(stats[0]))
+
+
+def dfa_batch(x: np.ndarray, policy: WindowPolicy = DEFAULT_POLICY) -> LogLogFits:
+    """DFA fits of every row of *x* (rows, N); a row with a zero mean
+    fluctuation at some window fails (NaN)."""
+    windows = policy.windows(x.shape[-1], min_window=DFA_MIN_WINDOW)
+    return loglog_fits("DFA", windows, dfa_fluctuations(x, windows))
 
 
 def estimate_dfa(series, policy: WindowPolicy = DEFAULT_POLICY) -> EstimatorResult:
     """DFA Hurst estimate over the policy's window set."""
-    arr = as_series(series)
-    windows = policy.windows(arr.shape[0], min_window=DFA_MIN_WINDOW)
-    points = [dfa_statistic(arr, n) for n in windows]
-    fit = loglog_fit(points)
-    warnings = (WARN_NONSTATIONARY,) if fit.slope > 1.0 else ()
-    return EstimatorResult(
-        method="DFA", hurst=fit.slope, fit=fit, points=tuple(points), warnings=warnings
-    )
+    fits = dfa_batch(as_series(series)[None, :], policy)
+    _raise_zero(fits.scales, fits.statistics[0])
+    warnings = (WARN_NONSTATIONARY,) if fits.slope[0] > 1.0 else ()
+    return fits.result(warnings=warnings)

@@ -11,27 +11,28 @@ The harness defaults to the sample-SD rescaled range (see
 :mod:`hurstlab.rs`): that is the convention under which the adjusted
 statistic recenters independent data on H = 0.5.
 
-Determinism: each iteration owns a pre-derived RNG stream and writes its
-estimates into a slot indexed by iteration number; aggregation then runs
-over those arrays in fixed order. Reports are therefore bit-identical for
-any thread count.
+A cell runs in chunks of rows: the chunk's series are drawn into a
+(rows, N) matrix and each estimator fits every row at once. Determinism:
+each iteration owns a pre-derived RNG stream, every reduction that sets a
+row's estimate runs along that row alone, and aggregation runs over the
+per-iteration estimates in fixed order. Reports are therefore
+bit-identical however a cell is split into chunks.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .base import DEFAULT_POLICY, WindowPolicy
-from .dfa import estimate_dfa
+from .dfa import dfa_batch
 from .errors import CellFailed, EmptyEstimates, HurstLabError
-from .rs import estimate_rsal
+from .rs import rsal_batch
 from .sampling import GENERATOR_NAME, ExponentialSpec, derive_stream, exponential_sample
-from .vtp import estimate_vtp
+from .vtp import block_count, vtp_batch
 
 __all__ = [
     "TRUE_HURST",
@@ -59,6 +60,11 @@ DEFAULT_LAMBDAS = (0.1, 0.5, 1.5, 3.0, 5.0, 7.0)
 DEFAULT_SIZES = (128, 256, 512, 1024)
 DEFAULT_ITERATION_COUNTS = (100, 500, 1000)
 
+# Working-set budget of one chunk, in float64 values (256 KiB): a chunk has
+# as many rows as fit in it with VTP's block means, the widest per-row
+# array, so memory stays flat however many iterations a cell has.
+CHUNK_ELEMENTS = 32 * 1024
+
 
 @dataclass(frozen=True)
 class SimulationCell:
@@ -71,6 +77,7 @@ class SimulationCell:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        ExponentialSpec(self.lam, self.length)
 
 
 @dataclass(frozen=True)
@@ -130,47 +137,39 @@ def make_grid(lambdas=DEFAULT_LAMBDAS, sizes=DEFAULT_SIZES,
     ]
 
 
-def _iteration_estimates(cell: SimulationCell, master_seed: int, cell_id: int,
-                         iteration: int, policy: WindowPolicy, sd_mode: str,
-                         vtp_divisors_only: bool) -> tuple[float, float, float]:
-    """Hurst estimates (RSAL, DFA, VTP) for one draw; NaN marks a failure."""
-    stream = derive_stream(master_seed, cell_id, iteration)
-    series = exponential_sample(stream, ExponentialSpec(cell.lam, cell.length))
-    out = []
-    for run in (
-        lambda: estimate_rsal(series, policy, sd_mode),
-        lambda: estimate_dfa(series, policy),
-        lambda: estimate_vtp(series, divisors_only=vtp_divisors_only),
-    ):
-        try:
-            out.append(run().hurst)
-        except HurstLabError:
-            out.append(float("nan"))
-    return tuple(out)
+def chunk_rows(length: int, vtp_divisors_only: bool = False) -> int:
+    """Rows per chunk for series of this length: see CHUNK_ELEMENTS."""
+    return max(1, CHUNK_ELEMENTS // block_count(length, vtp_divisors_only))
 
 
 def run_cell(cell: SimulationCell, master_seed: int,
              policy: WindowPolicy = DEFAULT_POLICY, *, cell_id: int = 0,
-             sd_mode: str = "sample", vtp_divisors_only: bool = False,
-             threads: int = 1) -> CellReport:
+             sd_mode: str = "sample", vtp_divisors_only: bool = False) -> CellReport:
     """Run one cell: draw, estimate, aggregate.
 
-    Raises CellFailed if some method failed on every iteration.
+    A series on which an estimator fails counts as a failure of that
+    method and is left out of its aggregates. Raises CellFailed if some
+    method failed on every iteration.
     """
+    spec = ExponentialSpec(cell.lam, cell.length)
+    batches = (
+        lambda x: rsal_batch(x, policy, sd_mode),
+        lambda x: dfa_batch(x, policy),
+        lambda x: vtp_batch(x, divisors_only=vtp_divisors_only),
+    )
     estimates = np.full((cell.iterations, len(METHODS)), np.nan)
-
-    def task(k: int):
-        return _iteration_estimates(
-            cell, master_seed, cell_id, k, policy, sd_mode, vtp_divisors_only
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for k, values in enumerate(pool.map(task, range(cell.iterations))):
-                estimates[k] = values
-    else:
-        for k in range(cell.iterations):
-            estimates[k] = task(k)
+    step = chunk_rows(cell.length, vtp_divisors_only)
+    for start in range(0, cell.iterations, step):
+        stop = min(start + step, cell.iterations)
+        x = np.stack([
+            exponential_sample(derive_stream(master_seed, cell_id, k), spec)
+            for k in range(start, stop)
+        ])
+        for j, batch in enumerate(batches):
+            try:
+                estimates[start:stop, j] = batch(x).hurst
+            except HurstLabError:
+                pass  # the configuration itself is unusable: every row fails
 
     methods = {}
     for j, method in enumerate(METHODS):
@@ -191,8 +190,7 @@ def run_cell(cell: SimulationCell, master_seed: int,
 
 
 def run_grid(cells, master_seed: int, policy: WindowPolicy = DEFAULT_POLICY, *,
-             sd_mode: str = "sample", vtp_divisors_only: bool = False,
-             threads: int = 1) -> SimulationReport:
+             sd_mode: str = "sample", vtp_divisors_only: bool = False) -> SimulationReport:
     """Evaluate every cell and assemble the report in configuration order."""
     cells = list(cells)
     if not cells:
@@ -201,8 +199,7 @@ def run_grid(cells, master_seed: int, policy: WindowPolicy = DEFAULT_POLICY, *,
     reports = tuple(
         run_cell(
             cell, master_seed, policy,
-            cell_id=i, sd_mode=sd_mode,
-            vtp_divisors_only=vtp_divisors_only, threads=threads,
+            cell_id=i, sd_mode=sd_mode, vtp_divisors_only=vtp_divisors_only,
         )
         for i, cell in enumerate(cells)
     )

@@ -13,6 +13,10 @@ where E(R/S)_n is the Anis-Lloyd small-sample expectation with the Peters
 sqrt(0.5 * pi * n), so the fitted slope lands on 0.5 regardless of how short
 the series is; that calibration is what makes R/Sal the low-MSE method in
 the Monte Carlo comparison this package reproduces.
+
+The statistics are computed for a (rows, N) batch of series at once;
+:func:`rsal_batch` is what the simulation grid runs, and the
+single-series functions are its one-row case.
 """
 
 from __future__ import annotations
@@ -22,18 +26,39 @@ from functools import lru_cache
 
 import numpy as np
 
-from .base import DEFAULT_POLICY, EstimatorResult, ScalePoint, WindowPolicy, loglog_fit
+from .base import (
+    DEFAULT_POLICY,
+    EstimatorResult,
+    LogLogFits,
+    ScalePoint,
+    WindowPolicy,
+    loglog_fits,
+)
 from .errors import AllSubseriesDegenerate, InvalidWindow, NonPositiveStatistic
-from .series import SD_MODES, as_series, segment_matrix
+from .series import _ddof, as_series, segment_matrix
 
 __all__ = [
     "rescaled_range",
     "rs_statistic",
+    "rs_statistics",
     "expected_rs",
     "adjust_rs_points",
+    "rsal_batch",
     "estimate_rs",
     "estimate_rsal",
 ]
+
+
+def _rescaled_ranges(seg: np.ndarray, ddof: int) -> tuple[np.ndarray, np.ndarray]:
+    """R/S of every subseries along the last axis, and whether its SD is
+    nonzero; the R/S of a zero-SD (degenerate) subseries is set to 0."""
+    n = seg.shape[-1]
+    centred = seg - seg.sum(axis=-1, keepdims=True) / n
+    sd = np.sqrt((centred * centred).sum(axis=-1) / (n - ddof))
+    profiles = np.cumsum(centred, axis=-1)
+    ranges = profiles.max(axis=-1) - profiles.min(axis=-1)
+    ok = sd > 0.0
+    return np.divide(ranges, sd, out=np.zeros_like(ranges), where=ok), ok
 
 
 def rescaled_range(subseries, sd_mode: str = "population") -> float | None:
@@ -42,12 +67,31 @@ def rescaled_range(subseries, sd_mode: str = "population") -> float | None:
     Returns None (degenerate) when the standard deviation is 0; callers
     exclude such subseries from the per-window average.
     """
-    arr = as_series(subseries)
-    std = arr.std(ddof=SD_MODES[sd_mode])
-    if std == 0.0:
-        return None
-    profile = np.cumsum(arr - arr.mean())
-    return float((profile.max() - profile.min()) / std)
+    rs, ok = _rescaled_ranges(as_series(subseries), _ddof(sd_mode))
+    return float(rs) if ok else None
+
+
+def rs_statistics(x: np.ndarray, windows, sd_mode: str = "population") -> np.ndarray:
+    """Mean rescaled range of each row of *x* (rows, N) at each window length.
+
+    Returns a (rows, len(windows)) matrix. Degenerate subseries (zero SD)
+    are dropped from a row's average; a row whose subseries at a window are
+    all degenerate gets NaN there.
+    """
+    ddof = _ddof(sd_mode)
+    out = np.empty((x.shape[0], len(windows)))
+    for j, n in enumerate(windows):
+        rs, ok = _rescaled_ranges(segment_matrix(x, n), ddof)
+        with np.errstate(invalid="ignore"):
+            out[:, j] = rs.sum(axis=-1) / ok.sum(axis=-1)
+    return out
+
+
+def _raise_degenerate(n_obs: int, windows, stats: np.ndarray) -> None:
+    for n, value in zip(windows, stats):
+        if math.isnan(value):
+            raise AllSubseriesDegenerate(
+                f"all {n_obs // n} subseries at n={n} have zero SD")
 
 
 def rs_statistic(series, n: int, sd_mode: str = "population") -> ScalePoint:
@@ -58,15 +102,9 @@ def rs_statistic(series, n: int, sd_mode: str = "population") -> ScalePoint:
     AllSubseriesDegenerate is raised.
     """
     arr = as_series(series)
-    seg = segment_matrix(arr, n)
-    means = seg.mean(axis=1)
-    stds = seg.std(axis=1, ddof=SD_MODES[sd_mode])
-    profiles = np.cumsum(seg - means[:, None], axis=1)
-    ranges = profiles.max(axis=1) - profiles.min(axis=1)
-    ok = stds > 0.0
-    if not ok.any():
-        raise AllSubseriesDegenerate(f"all {seg.shape[0]} subseries at n={n} have zero SD")
-    return ScalePoint(scale=n, statistic=float((ranges[ok] / stds[ok]).mean()))
+    stats = rs_statistics(arr[None, :], [n], sd_mode)[0]
+    _raise_degenerate(arr.shape[0], [n], stats)
+    return ScalePoint(scale=n, statistic=float(stats[0]))
 
 
 @lru_cache(maxsize=None)
@@ -89,9 +127,11 @@ def expected_rs(n: int) -> float:
     return (n - 0.5) / n * factor * tail_sum
 
 
-def _rs_points(series, policy: WindowPolicy, sd_mode: str) -> list[ScalePoint]:
-    arr = as_series(series)
-    return [rs_statistic(arr, n, sd_mode) for n in policy.windows(arr.shape[0])]
+def _adjust(stats: np.ndarray, windows) -> np.ndarray:
+    """(R/S)_n - E(R/S)_n + sqrt(0.5*pi*n), column by column."""
+    expected = np.array([expected_rs(n) for n in windows])
+    asymptote = np.array([math.sqrt(0.5 * math.pi * n) for n in windows])
+    return stats - expected + asymptote
 
 
 def adjust_rs_points(points) -> list[ScalePoint]:
@@ -102,16 +142,27 @@ def adjust_rs_points(points) -> list[ScalePoint]:
     throughout the supported range, this cannot happen for real R/S values;
     the check guards pathological or synthetic inputs.
     """
-    adjusted = []
-    bad = []
-    for p in points:
-        value = p.statistic - expected_rs(p.scale) + math.sqrt(0.5 * math.pi * p.scale)
-        if value <= 0.0:
-            bad.append(p.scale)
-        adjusted.append(ScalePoint(scale=p.scale, statistic=value))
+    scales = [p.scale for p in points]
+    adjusted = _adjust(np.array([p.statistic for p in points]), scales)
+    _raise_non_positive(scales, adjusted)
+    return [ScalePoint(scale=n, statistic=float(v)) for n, v in zip(scales, adjusted)]
+
+
+def _raise_non_positive(windows, adjusted: np.ndarray) -> None:
+    bad = [n for n, v in zip(windows, adjusted) if v <= 0.0]
     if bad:
         raise NonPositiveStatistic(f"adjusted R/S <= 0 at n={bad}; cannot take logs")
-    return adjusted
+
+
+def rsal_batch(x: np.ndarray, policy: WindowPolicy = DEFAULT_POLICY,
+               sd_mode: str = "sample") -> LogLogFits:
+    """R/Sal fits of every row of *x* (rows, N); failed rows are NaN.
+
+    A row fails when every subseries of some window has zero SD (NaN
+    statistic) or an adjusted value is <= 0.
+    """
+    windows = policy.windows(x.shape[-1])
+    return loglog_fits("RSAL", windows, _adjust(rs_statistics(x, windows, sd_mode), windows))
 
 
 def estimate_rs(series, policy: WindowPolicy = DEFAULT_POLICY,
@@ -124,15 +175,19 @@ def estimate_rs(series, policy: WindowPolicy = DEFAULT_POLICY,
     recenters independent data on H = 0.5. The low-level statistic ops keep
     the classical population default.
     """
-    points = _rs_points(series, policy, sd_mode)
-    fit = loglog_fit(points)
-    return EstimatorResult(method="RS", hurst=fit.slope, fit=fit, points=tuple(points))
+    arr = as_series(series)
+    windows = policy.windows(arr.shape[0])
+    fits = loglog_fits("RS", windows, rs_statistics(arr[None, :], windows, sd_mode))
+    _raise_degenerate(arr.shape[0], fits.scales, fits.statistics[0])
+    return fits.result()
 
 
 def estimate_rsal(series, policy: WindowPolicy = DEFAULT_POLICY,
                   sd_mode: str = "sample") -> EstimatorResult:
     """Adjusted rescaled range (R/Sal) estimate; see :func:`estimate_rs`
     for the sd_mode default."""
-    points = adjust_rs_points(_rs_points(series, policy, sd_mode))
-    fit = loglog_fit(points)
-    return EstimatorResult(method="RSAL", hurst=fit.slope, fit=fit, points=tuple(points))
+    arr = as_series(series)
+    fits = rsal_batch(arr[None, :], policy, sd_mode)
+    _raise_degenerate(arr.shape[0], fits.scales, fits.statistics[0])
+    _raise_non_positive(fits.scales, fits.statistics[0])
+    return fits.result()

@@ -2,8 +2,8 @@
 
 Streams are derived, not shared: each (master seed, cell id, iteration)
 triple maps through numpy's SeedSequence spawn-key mechanism to its own
-PCG64 generator, so any subset of iterations can run in any order, on any
-number of threads, and still draw exactly the same numbers. Exponential
+PCG64 generator, so any subset of iterations can run in any order, in any
+grouping, and still draw exactly the same numbers. Exponential
 variates come from the inverse transform x = -ln(U)/lambda rather than a
 rejection scheme, so the draw sequence is a pure function of the uniform
 stream and reproducible by any implementation of the same generator.

@@ -63,17 +63,19 @@ def _ddof(sd_mode: str) -> int:
 
 
 def segment_matrix(series: np.ndarray, n: int) -> np.ndarray:
-    """Reshape *series* into a (d, n) matrix of contiguous subseries.
+    """Reshape the last axis of *series* into (d, n) contiguous subseries.
 
-    The row order preserves the original order, so ravelling the result
-    reproduces the input. This is the vectorized form of :func:`partition`.
+    A series of length N becomes a (d, n) matrix and a (rows, N) batch a
+    (rows, d, n) array. The subseries keep their original order, so
+    ravelling the result reproduces the input. This is the vectorized form
+    of :func:`partition`.
     """
     if n < 2:
         raise WindowTooSmall(f"window n={n} is below the minimum of 2")
-    size = series.shape[0]
+    size = series.shape[-1]
     if size % n != 0:
         raise NonDivisorWindow(f"n={n} does not divide series length {size}")
-    return series.reshape(size // n, n)
+    return series.reshape(*series.shape[:-1], size // n, n)
 
 
 def partition(series, n: int) -> list[np.ndarray]:

@@ -8,19 +8,20 @@ divisors of N: a trailing remainder of fewer than w observations is simply
 discarded. Block sizes up to N/2 are accepted; the default regression set
 stops at N/4 (see :func:`aggregation_scales`).
 
-Block means for all scales of one series are computed in a single pass from
-the cumulative sum, with the gather/segment index arrays cached per series
-length; this is what keeps the 72-cell simulation grid fast.
+Block means for all scales of a (rows, N) batch of series are computed in a
+single pass from the row-wise cumulative sums, with the gather/segment
+index arrays cached per series length; :func:`vtp_batch` is what the
+simulation grid runs, and the single-series functions are its one-row case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .base import EstimatorResult, ScalePoint, loglog_fit
+from .base import EstimatorResult, LogLogFits, ScalePoint, loglog_fits
 from .errors import InsufficientScales, ScaleTooLarge, ZeroVariance
 from .series import as_series
 
@@ -29,6 +30,9 @@ __all__ = [
     "aggregation_scales",
     "aggregate",
     "aggregated_variance",
+    "block_count",
+    "scale_variances",
+    "vtp_batch",
     "estimate_vtp",
 ]
 
@@ -91,8 +95,8 @@ def aggregated_variance(series, w: int) -> ScalePoint:
     denominator is the block count.
     """
     arr = as_series(series)
-    blocks = aggregate(arr, w)
-    var = float(((blocks - arr.mean()) ** 2).mean())
+    _check_scale(arr.shape[0], w)
+    var = float(scale_variances(arr[None, :], (w,))[0, 0])
     if var == 0.0:
         raise ZeroVariance(f"aggregated variance at w={w} is 0; cannot take logs")
     return ScalePoint(scale=w, statistic=var)
@@ -122,12 +126,43 @@ def _gather_plan(n_obs: int, ws: tuple[int, ...]):
     )
 
 
-def _scale_variances(arr: np.ndarray, ws: tuple[int, ...]) -> np.ndarray:
-    starts, ends, widths, seg_starts, counts = _gather_plan(arr.shape[0], ws)
-    cs = np.concatenate(([0.0], np.cumsum(arr)))
-    block_means = (cs[ends] - cs[starts]) / widths
-    sq = (block_means - arr.mean()) ** 2
-    return np.add.reduceat(sq, seg_starts) / counts
+def block_count(n_obs: int, divisors_only: bool = False) -> int:
+    """Number of block means the default scales form for one series: the
+    widest per-series array in the variance computation."""
+    return _gather_plan(n_obs, _default_ws(n_obs, divisors_only))[0].size
+
+
+def scale_variances(x: np.ndarray, ws: tuple[int, ...]) -> np.ndarray:
+    """Aggregated variance of each row of *x* (rows, N) at each block size.
+
+    Returns a (rows, len(ws)) matrix; see :func:`aggregated_variance`.
+    """
+    starts, ends, widths, seg_starts, counts = _gather_plan(x.shape[-1], ws)
+    cs = np.zeros((x.shape[0], x.shape[-1] + 1))
+    np.cumsum(x, axis=-1, out=cs[:, 1:])
+    sq = cs[:, ends]
+    sq -= cs[:, starts]
+    sq /= widths
+    sq -= x.sum(axis=-1, keepdims=True) / x.shape[-1]
+    sq *= sq
+    return np.add.reduceat(sq, seg_starts, axis=-1) / counts
+
+
+def vtp_batch(x: np.ndarray, scales=None, divisors_only: bool = False) -> LogLogFits:
+    """VTP fits of every row of *x* (rows, N); a row with a zero variance
+    at some block size fails (NaN). See :func:`estimate_vtp`."""
+    n_obs = x.shape[-1]
+    if scales is None:
+        ws = _default_ws(n_obs, divisors_only)
+    else:
+        ws = tuple(getattr(s, "w", s) for s in scales)
+        for w in ws:
+            _check_scale(n_obs, w)
+    if len(set(ws)) < 2:
+        raise InsufficientScales(f"need >= 2 distinct block sizes, got {sorted(set(ws))}")
+    fits = loglog_fits("VTP", ws, scale_variances(x, ws))
+    beta = -fits.slope
+    return replace(fits, hurst=1.0 - beta / 2.0)
 
 
 def estimate_vtp(series, scales=None, divisors_only: bool = False) -> EstimatorResult:
@@ -146,23 +181,8 @@ def estimate_vtp(series, scales=None, divisors_only: bool = False) -> EstimatorR
     mean estimates of 0.40-0.42 at those lengths. No correction is
     applied.
     """
-    arr = as_series(series)
-    n_obs = arr.shape[0]
-    if scales is None:
-        ws = _default_ws(n_obs, divisors_only)
-    else:
-        ws = tuple(getattr(s, "w", s) for s in scales)
-        for w in ws:
-            _check_scale(n_obs, w)
-    if len(set(ws)) < 2:
-        raise InsufficientScales(f"need >= 2 distinct block sizes, got {sorted(set(ws))}")
-    variances = _scale_variances(arr, ws)
-    zero = [w for w, v in zip(ws, variances) if v == 0.0]
+    fits = vtp_batch(as_series(series)[None, :], scales, divisors_only)
+    zero = [w for w, v in zip(fits.scales, fits.statistics[0]) if v == 0.0]
     if zero:
         raise ZeroVariance(f"aggregated variance is 0 at w={zero}; cannot take logs")
-    points = [ScalePoint(scale=w, statistic=float(v)) for w, v in zip(ws, variances)]
-    fit = loglog_fit(points)
-    beta = -fit.slope
-    return EstimatorResult(
-        method="VTP", hurst=1.0 - beta / 2.0, fit=fit, points=tuple(points)
-    )
+    return fits.result()

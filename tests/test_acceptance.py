@@ -22,10 +22,11 @@ from hurstlab import (
     make_grid,
     run_grid,
 )
+from hurstlab import montecarlo
 from hurstlab.dfa import detrended_fluctuation
 from hurstlab.report import report_to_json
 from hurstlab.rs import rescaled_range
-from hurstlab.vtp import aggregated_variance
+from hurstlab.vtp import aggregated_variance, block_count
 from oracles import vtp_mean_shift
 
 MASTER_SEED = 42
@@ -205,13 +206,23 @@ def test_criterion_7_invariance_suite():
     _verdict("criterion 7 (invariance suite)", violations)
 
 
-def test_criterion_8_determinism_across_thread_counts():
-    """Full default grid at thread counts 1 and 8: byte-identical JSON."""
+def test_criterion_8_determinism_across_chunking(monkeypatch):
+    """Full default grid with the default chunks and with 7-row chunks:
+    byte-identical JSON. Seven divides none of the iteration counts, so
+    chunk boundaries fall inside cells."""
     cells = make_grid()
-    single = report_to_json(run_grid(cells, MASTER_SEED, threads=1))
-    threaded = report_to_json(run_grid(cells, MASTER_SEED, threads=8))
-    violations = [] if single == threaded else ["JSON reports differ"]
-    _verdict("criterion 8 (determinism across thread counts)", violations)
+    default = report_to_json(run_grid(cells, MASTER_SEED))
+    real_run_cell = montecarlo.run_cell
+
+    def seven_row_chunks(cell, *args, **kwargs):
+        monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", 7 * block_count(cell.length))
+        assert montecarlo.chunk_rows(cell.length) == 7
+        return real_run_cell(cell, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "run_cell", seven_row_chunks)
+    chunked = report_to_json(run_grid(cells, MASTER_SEED))
+    violations = [] if default == chunked else ["JSON reports differ"]
+    _verdict("criterion 8 (determinism across chunking)", violations)
 
 
 def test_rsal_mse_monotone_in_length(grid1000):

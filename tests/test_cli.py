@@ -72,6 +72,10 @@ class TestEstimate:
         assert doc["options"]["min_window"] == 16
 
 
+def _no_cell_may_run(*args, **kwargs):
+    raise AssertionError("a cell ran despite invalid input")
+
+
 class TestSimulate:
     def test_writes_report_and_plot_data(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -128,6 +132,43 @@ class TestSimulate:
             "--iteration-counts", "3", "--seed", "9", "--out", str(out),
         ]) == 0
         assert json.loads(out.read_text())["metadata"]["master_seed"] == 9
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--iteration-counts", "0"),
+        ("--lambdas", "-1"),
+        ("--sizes", "1"),
+    ])
+    def test_invalid_grid_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch,
+                                                  flag, value):
+        monkeypatch.setattr("hurstlab.montecarlo.run_cell", _no_cell_may_run)
+        args = {"--lambdas": "0.5", "--sizes": "64", "--iteration-counts": "3"}
+        args[flag] = value
+        argv = ["simulate", "--out", str(tmp_path / "r.json")]
+        for name, text in args.items():
+            argv += [name, text]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hurstlab: ") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("hurstlab.montecarlo.run_cell", _no_cell_may_run)
+        assert main([
+            "simulate", "--lambdas", "0.5", "--sizes", "64",
+            "--iteration-counts", "3", "--seed", "-1", "--out", str(tmp_path / "r.json"),
+        ]) == 2
+        assert "--seed -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", str(2**64)])
+    def test_out_of_range_environment_seed_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                   value):
+        monkeypatch.setattr("hurstlab.montecarlo.run_cell", _no_cell_may_run)
+        monkeypatch.setenv("HURSTLAB_SEED", value)
+        assert main([
+            "simulate", "--lambdas", "0.5", "--sizes", "64",
+            "--iteration-counts", "3", "--out", str(tmp_path / "r.json"),
+        ]) == 2
+        assert f"HURSTLAB_SEED {value}" in capsys.readouterr().err
 
     def test_bad_environment_seed_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HURSTLAB_SEED", "not-a-seed")

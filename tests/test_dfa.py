@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hurstlab.base import WARN_NONSTATIONARY, ScalePoint, WindowPolicy
+from hurstlab.base import WARN_NONSTATIONARY, WindowPolicy
 from hurstlab.dfa import detrended_fluctuation, dfa_statistic, estimate_dfa
 from hurstlab.errors import InsufficientWindows, WindowTooSmall, ZeroFluctuation
 
@@ -87,8 +87,9 @@ class TestEstimateDfa:
     def test_nonstationary_warning_above_one(self, monkeypatch):
         # fixture: every (log n, log F(n)) on an exact slope-1.2 line
         monkeypatch.setattr(
-            "hurstlab.dfa.dfa_statistic",
-            lambda series, n: ScalePoint(scale=n, statistic=float(n) ** 1.2),
+            "hurstlab.dfa.dfa_fluctuations",
+            lambda x, windows: np.tile(np.asarray(windows, dtype=float) ** 1.2,
+                                       (x.shape[0], 1)),
         )
         result = estimate_dfa(np.ones(64) + np.arange(64) % 2)
         assert result.hurst == pytest.approx(1.2, abs=1e-12)

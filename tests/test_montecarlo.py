@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hurstlab.base import WindowPolicy
-from hurstlab.errors import CellFailed, EmptyEstimates, ZeroFluctuation
+from hurstlab.errors import CellFailed, EmptyEstimates
 from hurstlab.montecarlo import (
     METHODS,
     SimulationCell,
@@ -11,8 +13,9 @@ from hurstlab.montecarlo import (
     run_cell,
     run_grid,
 )
-from hurstlab.rs import estimate_rsal
+from hurstlab.rs import estimate_rsal, rsal_batch
 from hurstlab.sampling import ExponentialSpec, derive_stream, exponential_sample
+from hurstlab.vtp import block_count
 
 
 class TestMse:
@@ -45,12 +48,15 @@ class TestMakeGrid:
 
 
 class TestRunCell:
-    def test_deterministic_across_runs_and_threads(self):
+    def test_deterministic_across_runs_and_chunking(self, monkeypatch):
         cell = SimulationCell(lam=1.5, length=128, iterations=60)
         first = run_cell(cell, 42)
         second = run_cell(cell, 42)
-        threaded = run_cell(cell, 42, threads=4)
-        assert first == second == threaded
+        # the default budget holds the whole cell in one chunk; 7-row
+        # chunks end mid-cell
+        monkeypatch.setattr("hurstlab.montecarlo.CHUNK_ELEMENTS", 7 * block_count(128))
+        chunked = run_cell(cell, 42)
+        assert first == second == chunked
 
     def test_large_sample_cell_lands_on_half(self):
         # lambda=0.1, N=1024: adjusted R/S mean lands tightly on 0.5
@@ -68,16 +74,17 @@ class TestRunCell:
             run_cell(cell, 42, WindowPolicy(min_window=8))
 
     def test_partial_failures_counted_and_excluded(self, monkeypatch):
-        calls = {"n": 0}
-        real = estimate_rsal
+        seen = {"rows": 0}
+        real = rsal_batch
 
-        def flaky(series, policy, sd_mode):
-            calls["n"] += 1
-            if calls["n"] % 3 == 0:
-                raise ZeroFluctuation("synthetic failure")
-            return real(series, policy, sd_mode)
+        def flaky(x, policy, sd_mode):
+            # every third series of the cell fails
+            fits = real(x, policy, sd_mode)
+            row = seen["rows"] + np.arange(1, x.shape[0] + 1)
+            seen["rows"] += x.shape[0]
+            return replace(fits, hurst=np.where(row % 3 == 0, np.nan, fits.hurst))
 
-        monkeypatch.setattr("hurstlab.montecarlo.estimate_rsal", flaky)
+        monkeypatch.setattr("hurstlab.montecarlo.rsal_batch", flaky)
         cell = SimulationCell(lam=1.0, length=64, iterations=9)
         report = run_cell(cell, 42)
         assert report.methods["RSAL"].failure_count == 3

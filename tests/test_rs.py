@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hurstlab.base import ScalePoint, WindowPolicy, loglog_fit
+from hurstlab.base import ScalePoint, WindowPolicy, loglog_fits
 from hurstlab.errors import (
     AllSubseriesDegenerate,
     InsufficientWindows,
@@ -131,7 +131,10 @@ class TestAdjustRsPoints:
         # statistic equal to its expectation at every n collapses onto
         # sqrt(0.5*pi*n), whose log-log slope is exactly 0.5
         points = [ScalePoint(n, expected_rs(n)) for n in (2, 4, 8, 16, 32, 64)]
-        fit = loglog_fit(adjust_rs_points(points))
+        adjusted = adjust_rs_points(points)
+        fit = loglog_fits(
+            "RSAL", [p.scale for p in adjusted], np.array([[p.statistic for p in adjusted]])
+        ).result().fit
         assert fit.slope == pytest.approx(0.5, abs=1e-12)
         assert fit.residual_rms < 1e-12
 

@@ -78,8 +78,8 @@ class TestEstimateVtp:
     def test_exact_iid_variance_law(self, monkeypatch):
         # fixture: Var = c/w exactly at every scale, so beta = 1 and H = 0.5
         monkeypatch.setattr(
-            "hurstlab.vtp._scale_variances",
-            lambda arr, ws: 3.7 / np.asarray(ws, dtype=float),
+            "hurstlab.vtp.scale_variances",
+            lambda x, ws: np.tile(3.7 / np.asarray(ws, dtype=float), (x.shape[0], 1)),
         )
         result = estimate_vtp(np.ones(64) + np.arange(64) % 3)
         assert result.hurst == pytest.approx(0.5, abs=1e-12)
