@@ -142,10 +142,7 @@ class LogLogFits:
             n_points=len(self.scales),
             residual_rms=float(self.residual_rms[row]),
         )
-        points = tuple(
-            ScalePoint(scale=s, statistic=float(v))
-            for s, v in zip(self.scales, self.statistics[row])
-        )
+        points = tuple(map(ScalePoint, self.scales, self.statistics[row].tolist()))
         return EstimatorResult(method=self.method, hurst=float(self.hurst[row]),
                                fit=fit, points=points, warnings=warnings)
 

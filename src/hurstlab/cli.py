@@ -14,6 +14,7 @@ in [0, 2**64 - 1], the range the stream derivation distinguishes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -69,7 +70,10 @@ def _policy_options(parser: argparse.ArgumentParser) -> None:
                         help="restrict VTP block sizes to divisors of N")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; ``parse_args`` keeps no state
+    in it between calls, and every default is immutable."""
     parser = argparse.ArgumentParser(
         prog="hurstlab",
         description="Hurst exponent estimation and Monte Carlo comparison",
@@ -85,10 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
     est.set_defaults(func=cmd_estimate)
 
     sim = sub.add_parser("simulate", help="run the Monte Carlo comparison grid")
-    sim.add_argument("--lambdas", type=float, nargs="+", default=list(DEFAULT_LAMBDAS))
-    sim.add_argument("--sizes", type=int, nargs="+", default=list(DEFAULT_SIZES))
+    sim.add_argument("--lambdas", type=float, nargs="+", default=DEFAULT_LAMBDAS)
+    sim.add_argument("--sizes", type=int, nargs="+", default=DEFAULT_SIZES)
     sim.add_argument("--iteration-counts", type=int, nargs="+",
-                     default=list(DEFAULT_ITERATION_COUNTS))
+                     default=DEFAULT_ITERATION_COUNTS)
     sim.add_argument("--seed", type=int, default=None,
                      help=f"master seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
     sim.add_argument("--out", default=None,

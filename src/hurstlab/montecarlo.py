@@ -138,8 +138,12 @@ def make_grid(lambdas=DEFAULT_LAMBDAS, sizes=DEFAULT_SIZES,
 
 
 def chunk_rows(length: int, vtp_divisors_only: bool = False) -> int:
-    """Rows per chunk for series of this length: see CHUNK_ELEMENTS."""
-    return max(1, CHUNK_ELEMENTS // block_count(length, vtp_divisors_only))
+    """Rows per chunk for series of this length: see CHUNK_ELEMENTS.
+
+    A length below 4 has no VTP blocks; it still gets chunks, and its cell
+    fails like that of any other length the estimators cannot use.
+    """
+    return max(1, CHUNK_ELEMENTS // max(1, block_count(length, vtp_divisors_only)))
 
 
 def run_cell(cell: SimulationCell, master_seed: int,

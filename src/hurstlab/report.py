@@ -40,23 +40,42 @@ __all__ = [
 def read_series_file(path) -> np.ndarray:
     """Parse a series file: one decimal observation per line, '#' comments.
 
-    Blank lines are ignored. Any other unparseable or non-finite line
-    raises SeriesParseError carrying its 1-based line number.
+    Blank lines are ignored. Any other unparseable or non-finite line, or
+    a byte that is not UTF-8, raises SeriesParseError carrying its 1-based
+    line number. Lines end at ``\\n``, ``\\r\\n`` or ``\\r``; a leading
+    byte-order mark is skipped.
     """
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise SeriesParseError(lineno, f"not a number: {line!r}") from None
-            if not math.isfinite(value):
-                raise SeriesParseError(lineno, f"non-finite value: {line!r}")
-            values.append(value)
-    return np.asarray(values, dtype=float)
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        head = exc.object[: exc.start]
+        lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        bad = exc.object[exc.start]
+        raise SeriesParseError(lineno, f"not UTF-8 text ({exc.reason} 0x{bad:02x})") from None
+    data = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+    try:
+        values = np.fromiter(map(float, data), dtype=float, count=len(data))
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    raise _first_bad_line(lines)
+
+
+def _first_bad_line(lines: list[str]) -> SeriesParseError:
+    """The error for the first data line that is not a finite number."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            return SeriesParseError(lineno, f"not a number: {line!r}")
+        if not math.isfinite(value):
+            return SeriesParseError(lineno, f"non-finite value: {line!r}")
+    raise AssertionError("no bad line in a series that failed to parse")
 
 
 # --- simulation reports -----------------------------------------------------
@@ -206,31 +225,70 @@ def _fmt6g(x: float) -> str:
     return f"{x:.6g}"
 
 
+# How json spells the floats that float.__repr__ spells otherwise.
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+def _dumps_at(value, depth: int) -> str:
+    """``json.dumps(value, indent=2)`` as it reads nested *depth* levels deep.
+
+    json escapes every newline inside a string, so each newline in its
+    output starts a line of the layout and takes the extra indent.
+    """
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _points_json(points) -> str:
+    """A result's "points" array, laid out as ``json.dumps(indent=2)`` nests it
+    in :func:`estimates_to_json`, one f-string per point."""
+    if not points:
+        return "[]"
+    items = ",\n".join(
+        f'        {{\n          "scale": {p.scale},\n'
+        f'          "statistic": {_json_float(p.statistic)}\n        }}'
+        for p in points
+    )
+    return f"[\n{items}\n      ]"
+
+
+def _result_json(r: EstimatorResult) -> str:
+    fit = {
+        "slope": r.fit.slope,
+        "intercept": r.fit.intercept,
+        "n_points": r.fit.n_points,
+        "residual_rms": r.fit.residual_rms,
+    }
+    return (
+        "    {\n"
+        f'      "method": {json.dumps(r.method)},\n'
+        f'      "hurst": {json.dumps(r.hurst)},\n'
+        f'      "fit": {_dumps_at(fit, 3)},\n'
+        f'      "points": {_points_json(r.points)},\n'
+        f'      "warnings": {_dumps_at(list(r.warnings), 3)}\n'
+        "    }"
+    )
+
+
 def estimates_to_json(results: list[EstimatorResult], input_path: str,
                       n_observations: int, options: dict) -> str:
-    doc = {
-        "input": input_path,
-        "n_observations": n_observations,
-        "options": options,
-        "results": [
-            {
-                "method": r.method,
-                "hurst": r.hurst,
-                "fit": {
-                    "slope": r.fit.slope,
-                    "intercept": r.fit.intercept,
-                    "n_points": r.fit.n_points,
-                    "residual_rms": r.fit.residual_rms,
-                },
-                "points": [
-                    {"scale": p.scale, "statistic": p.statistic} for p in r.points
-                ],
-                "warnings": list(r.warnings),
-            }
-            for r in results
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The estimates as ``json.dumps(doc, indent=2) + "\\n"`` renders them.
+
+    With an indent, json runs its pure-Python encoder, which costs several
+    microseconds per point; the ``points`` arrays, thousands long on long
+    series, are written directly instead, with the same bytes.
+    """
+    head = json.dumps(
+        {"input": input_path, "n_observations": n_observations, "options": options},
+        indent=2,
+    )
+    body = ",\n".join(map(_result_json, results))
+    results_json = f"[\n{body}\n  ]" if results else "[]"
+    return f'{head[:-2]},\n  "results": {results_json}\n}}\n'
 
 
 def estimates_to_csv(results: list[EstimatorResult]) -> str:

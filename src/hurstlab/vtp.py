@@ -104,26 +104,17 @@ def aggregated_variance(series, w: int) -> ScalePoint:
 
 @lru_cache(maxsize=16)
 def _gather_plan(n_obs: int, ws: tuple[int, ...]):
-    """Index arrays that turn one padded cumsum into all blocks of all scales."""
-    starts, ends, widths = [], [], []
-    seg_starts, counts = [], []
-    pos = 0
-    for w in ws:
-        nb = n_obs // w
-        edges = w * np.arange(nb + 1)
-        starts.append(edges[:-1])
-        ends.append(edges[1:])
-        widths.append(np.full(nb, float(w)))
-        seg_starts.append(pos)
-        counts.append(nb)
-        pos += nb
-    return (
-        np.concatenate(starts),
-        np.concatenate(ends),
-        np.concatenate(widths),
-        np.array(seg_starts),
-        np.array(counts, dtype=float),
-    )
+    """Index arrays that turn one padded cumsum into all blocks of all scales.
+
+    Block k of scale w spans [k * w, (k + 1) * w); the blocks of each scale
+    form one contiguous segment, starting at ``seg_starts``.
+    """
+    w = np.array(ws, dtype=np.int64)
+    nb = n_obs // w
+    seg_starts = np.cumsum(nb) - nb
+    block_w = np.repeat(w, nb)
+    starts = block_w * (np.arange(block_w.size) - np.repeat(seg_starts, nb))
+    return starts, starts + block_w, block_w.astype(float), seg_starts, nb.astype(float)
 
 
 def block_count(n_obs: int, divisors_only: bool = False) -> int:
@@ -182,7 +173,7 @@ def estimate_vtp(series, scales=None, divisors_only: bool = False) -> EstimatorR
     applied.
     """
     fits = vtp_batch(as_series(series)[None, :], scales, divisors_only)
-    zero = [w for w, v in zip(fits.scales, fits.statistics[0]) if v == 0.0]
+    zero = [fits.scales[i] for i in np.flatnonzero(fits.statistics[0] == 0.0)]
     if zero:
         raise ZeroVariance(f"aggregated variance is 0 at w={zero}; cannot take logs")
     return fits.result()

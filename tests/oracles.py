@@ -1,10 +1,15 @@
-"""Reference computations the tests check the estimators against.
+"""Reference computations the tests check the package against.
 
 These are derived independently of the package: they restate documented
-rules and textbook results, and never call hurstlab internals.
+rules and textbook results, and never call hurstlab internals. Where the
+package runs a vectorised or hand-rendered fast path, the plain loop it
+replaced is kept here as the reference it must equal.
 """
 
 from __future__ import annotations
+
+import json
+import math
 
 import numpy as np
 from scipy.special import digamma
@@ -34,3 +39,84 @@ def vtp_mean_shift(n_obs: int) -> float:
     w = np.arange(1, n_obs // 4 + 1)
     slope = np.polyfit(np.log(w), vtp_log_variance_bias(n_obs // w), 1)[0]
     return -float(slope) / 2.0
+
+
+class ReferenceParseError(Exception):
+    """A series-file line the reference parser rejects (1-based number)."""
+
+    def __init__(self, line_number: int, message: str):
+        super().__init__(f"line {line_number}: {message}")
+        self.line_number = line_number
+
+
+def read_series_reference(path) -> np.ndarray:
+    """The series-file contract, one line at a time: one number per line,
+    blank lines and '#' comments skipped, the first line that is not a
+    finite number rejected."""
+    values = []
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                value = float(line)
+            except ValueError:
+                raise ReferenceParseError(lineno, f"not a number: {line!r}") from None
+            if not math.isfinite(value):
+                raise ReferenceParseError(lineno, f"non-finite value: {line!r}")
+            values.append(value)
+    return np.asarray(values, dtype=float)
+
+
+def gather_plan_reference(n_obs: int, ws: tuple[int, ...]):
+    """VTP's gather plan built one scale at a time: for each block size w,
+    the start and end of its floor(N/w) blocks, their width, the offset of
+    the scale's segment and its block count."""
+    starts, ends, widths = [], [], []
+    seg_starts, counts = [], []
+    pos = 0
+    for w in ws:
+        nb = n_obs // w
+        edges = w * np.arange(nb + 1)
+        starts.append(edges[:-1])
+        ends.append(edges[1:])
+        widths.append(np.full(nb, float(w)))
+        seg_starts.append(pos)
+        counts.append(nb)
+        pos += nb
+    return (
+        np.concatenate(starts),
+        np.concatenate(ends),
+        np.concatenate(widths),
+        np.array(seg_starts),
+        np.array(counts, dtype=float),
+    )
+
+
+def estimates_json_reference(results, input_path: str, n_observations: int,
+                             options: dict) -> str:
+    """The estimate document as json.dumps lays it out with indent=2."""
+    doc = {
+        "input": input_path,
+        "n_observations": n_observations,
+        "options": options,
+        "results": [
+            {
+                "method": r.method,
+                "hurst": r.hurst,
+                "fit": {
+                    "slope": r.fit.slope,
+                    "intercept": r.fit.intercept,
+                    "n_points": r.fit.n_points,
+                    "residual_rms": r.fit.residual_rms,
+                },
+                "points": [
+                    {"scale": p.scale, "statistic": p.statistic} for p in r.points
+                ],
+                "warnings": list(r.warnings),
+            }
+            for r in results
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"

@@ -55,6 +55,35 @@ class TestEstimate:
         assert main(["estimate", str(path)]) == 2
         assert "line 7" in capsys.readouterr().err
 
+    def test_invalid_utf8_names_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1.0\n2.0\n\xff\xfe3\n")
+        assert main(["estimate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "hurstlab: line 3: not UTF-8 text (invalid start byte 0xff)\n")
+
+    def test_leading_byte_order_mark_skipped(self, series_file, tmp_path, capsys):
+        path = series_file(length=256)
+        assert main(["estimate", str(path)]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        bom_path = tmp_path / "bom.txt"
+        bom_path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().split(b"\n", 1)[1])
+        assert main(["estimate", str(bom_path)]) == 0
+        with_bom = json.loads(capsys.readouterr().out)
+        assert with_bom["results"] == plain["results"]
+
+    def test_repeated_calls_in_one_process_are_independent(self, series_file, capsys):
+        path = series_file(length=512)
+        assert main(["estimate", str(path), "--method", "rsal"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert main(["estimate", str(path)]) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert first["options"]["method"] == "rsal"
+        assert second["options"]["method"] == "all"
+        assert [r["method"] for r in first["results"]] == ["RSAL"]
+        assert [r["method"] for r in second["results"]] == ["RSAL", "DFA", "VTP"]
+        assert second["results"][0] == first["results"][0]
+
     def test_short_file_is_estimation_error(self, tmp_path, capsys):
         path = tmp_path / "short.txt"
         path.write_text("\n".join(str(i + 1) for i in range(8)) + "\n")
@@ -107,6 +136,13 @@ class TestSimulate:
             "--iteration-counts", "3", "--out", str(tmp_path / "r.json"),
             "--min-window", "8",
         ]) == 3
+
+    def test_size_without_vtp_scales_exits_3(self, tmp_path, capsys):
+        assert main([
+            "simulate", "--lambdas", "0.5", "--sizes", "3",
+            "--iteration-counts", "3", "--out", str(tmp_path / "r.json"),
+        ]) == 3
+        assert "CellFailed" in capsys.readouterr().err
 
     def test_unwritable_output_exits_4(self, tmp_path):
         out = tmp_path / "missing-dir" / "report.json"

@@ -1,17 +1,28 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hurstlab.base import EstimatorResult, ScalePoint
+from hurstlab.dfa import estimate_dfa
 from hurstlab.errors import SeriesParseError
 from hurstlab.montecarlo import make_grid, run_grid
+from hurstlab.regression import RegressionFit
 from hurstlab.report import (
+    estimates_to_json,
     plot_data_files,
     read_series_file,
     report_from_json,
     report_to_csv,
     report_to_json,
 )
+from hurstlab.rs import estimate_rsal
+from hurstlab.vtp import estimate_vtp
+from oracles import ReferenceParseError, estimates_json_reference, read_series_reference
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +49,74 @@ class TestReadSeriesFile:
         path.write_text("1.0\ninf\n")
         with pytest.raises(SeriesParseError, match="line 2"):
             read_series_file(path)
+
+    def test_only_newline_characters_end_lines(self, tmp_path):
+        # form feed, vertical tab, \x1c-\x1e, \x85 and U+2028 end a line for
+        # str.splitlines, but not in a text file: inside a line they are a
+        # bad number, at its ends whitespace
+        path = tmp_path / "series.txt"
+        path.write_text("\x0c1.5\x85\n2.5\u2028\n3\x0b4\n", encoding="utf-8")
+        with pytest.raises(SeriesParseError, match="line 3") as excinfo:
+            read_series_file(path)
+        assert str(excinfo.value) == "line 3: not a number: '3\\x0b4'"
+
+    def test_first_bad_line_wins(self, tmp_path):
+        path = tmp_path / "series.txt"
+        path.write_text("1\r\n2\rinf\r\nabc\n")
+        with pytest.raises(SeriesParseError) as excinfo:
+            read_series_file(path)
+        assert str(excinfo.value) == "line 3: non-finite value: 'inf'"
+
+
+# Tokens a series file may hold, each with the padding a line may carry.
+_PAD = st.text(alphabet=" \t\x0b\x0c\x1c\x1d\x1e\x85\u2028", max_size=2)
+_FLOAT_REPR = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_INT = st.integers(-10**20, 10**20).map(str)
+_EXPONENT = st.builds("{}e{}".format, st.integers(-999, 999), st.integers(-320, 320))
+_UNDERSCORED = st.lists(st.integers(1, 999), min_size=2, max_size=4).map(
+    lambda parts: "_".join(map(str, parts)))
+_NUMBER = st.one_of(_FLOAT_REPR, _INT, _EXPONENT, _UNDERSCORED)
+_COMMENT = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
+    max_size=8,
+)
+_FILLER = st.one_of(st.just(""), _PAD, st.builds("# {}".format, _COMMENT))
+_BAD = st.sampled_from(["nan", "inf", "-Infinity", "1.2.3", "abc", "1__0", "0x10"])
+
+
+@st.composite
+def _series_files(draw) -> bytes:
+    lines = draw(st.lists(st.one_of(
+        st.builds("{}{}{}".format, _PAD, _NUMBER, _PAD), _FILLER), max_size=30))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_BAD))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                            min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if lines and draw(st.booleans()):
+        text = text[: -len(endings[-1])]  # no final newline
+    return text.encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=_series_files())
+def test_series_file_parses_as_reference_or_names_its_line(content):
+    """A series file either parses to the reference's array or fails with
+    the reference's line number and message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.txt"
+        path.write_bytes(content)
+        try:
+            expected = read_series_reference(path)
+        except ReferenceParseError as ref:
+            with pytest.raises(SeriesParseError) as excinfo:
+                read_series_file(path)
+            assert excinfo.value.line_number == ref.line_number
+            assert str(excinfo.value) == str(ref)
+        else:
+            got = read_series_file(path)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestJsonRoundTrip:
@@ -106,3 +185,54 @@ class TestPlotData:
         lines = body.strip().splitlines()
         assert lines[0] == "lambda,hurst_N32,hurst_N64"
         assert [ln.split(",")[0] for ln in lines[1:]] == ["0.1", "1.5"]
+
+
+class TestEstimatesJson:
+    """The hand-rendered estimate document against json.dumps(indent=2)."""
+
+    OPTIONS = {"method": "all", "min_window": 2, "max_window_rule": "half-N",
+               "sd_mode": "sample", "vtp_divisors_only": False}
+
+    @pytest.mark.parametrize("n_obs", [2048, 6008, 32768])
+    def test_real_estimates(self, exp_series, n_obs):
+        series = exp_series(n_obs, lam=0.5, seed=n_obs)
+        results = [estimate_rsal(series), estimate_dfa(series), estimate_vtp(series),
+                   estimate_vtp(series, divisors_only=True)]
+        args = (results, f"runs/series_{n_obs}.txt", n_obs, self.OPTIONS)
+        assert estimates_to_json(*args) == estimates_json_reference(*args)
+
+    def test_no_results(self):
+        args = ([], "empty.txt", 0, {})
+        assert estimates_to_json(*args) == estimates_json_reference(*args)
+
+
+_STATISTIC = st.one_of(
+    st.floats(),  # NaN and the infinities included: json spells them its own way
+    st.floats(min_value=0.0, max_value=1e-300),  # subnormals
+    st.floats(min_value=1e300, allow_infinity=False),
+)
+_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@st.composite
+def _estimate_results(draw) -> EstimatorResult:
+    points = draw(st.lists(st.builds(ScalePoint, st.integers(1, 10**6), _STATISTIC),
+                           max_size=12))
+    fit = RegressionFit(slope=draw(_STATISTIC), intercept=draw(st.floats()),
+                        n_points=len(points), residual_rms=draw(st.floats()))
+    return EstimatorResult(method=draw(_TEXT), hurst=draw(st.floats()), fit=fit,
+                           points=tuple(points),
+                           warnings=tuple(draw(st.lists(_TEXT, max_size=2))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    results=st.lists(_estimate_results(), max_size=3),
+    input_path=st.one_of(_TEXT, st.just('dir "quoted"\\series\u00e9\U0001f600.txt')),
+    n_observations=st.integers(0, 10**9),
+    options=st.dictionaries(_TEXT, st.one_of(_TEXT, st.booleans(), st.integers(),
+                                             st.floats()), max_size=4),
+)
+def test_estimates_json_matches_json_dumps(results, input_path, n_observations, options):
+    args = (results, input_path, n_observations, options)
+    assert estimates_to_json(*args) == estimates_json_reference(*args)

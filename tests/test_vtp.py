@@ -4,12 +4,14 @@ import pytest
 from hurstlab.errors import InsufficientScales, ScaleTooLarge, ZeroVariance
 from hurstlab.vtp import (
     AggregationScale,
+    _default_ws,
+    _gather_plan,
     aggregate,
     aggregated_variance,
     aggregation_scales,
     estimate_vtp,
 )
-from oracles import vtp_mean_shift
+from oracles import gather_plan_reference, vtp_mean_shift
 
 
 class TestAggregate:
@@ -60,6 +62,33 @@ class TestAggregatedVariance:
         for a in (0.5, 3.0):
             scaled = aggregated_variance(a * series, 4).statistic
             assert scaled == pytest.approx(a * a * base, rel=1e-12)
+
+
+class TestGatherPlan:
+    """The vectorised plan against the per-scale loop it replaced."""
+
+    @staticmethod
+    def _assert_plan_equal(n_obs, ws):
+        plan = _gather_plan(n_obs, ws)
+        for got, want in zip(plan, gather_plan_reference(n_obs, ws), strict=True):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("divisors_only", [False, True])
+    def test_default_scales_match_loop(self, divisors_only):
+        for n_obs in [*range(4, 301), 32768]:
+            self._assert_plan_equal(n_obs, _default_ws(n_obs, divisors_only))
+
+    def test_any_valid_scales_match_loop(self):
+        self._assert_plan_equal(100, tuple(range(1, 51)))
+        self._assert_plan_equal(97, (48, 3, 3, 1))
+
+    @pytest.mark.parametrize("n_obs", [2, 3])
+    def test_no_default_scale_gives_empty_plan(self, n_obs):
+        for divisors_only in (False, True):
+            assert _default_ws(n_obs, divisors_only) == ()
+            plan = _gather_plan(n_obs, ())
+            assert [a.size for a in plan] == [0, 0, 0, 0, 0]
 
 
 class TestAggregationScales:
