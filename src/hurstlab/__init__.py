@@ -9,65 +9,36 @@ the true value is H = 0.5.
 
 __version__ = "0.1.0"
 
-from .base import DEFAULT_POLICY, EstimatorResult, ScalePoint, WindowPolicy
-from .dfa import detrended_fluctuation, dfa_statistic, estimate_dfa
+from .base import EstimatorResult, ScalePoint, WindowPolicy
+from .dfa import estimate_dfa
 from .errors import HurstLabError
 from .montecarlo import (
-    DEFAULT_ITERATION_COUNTS,
-    DEFAULT_LAMBDAS,
-    DEFAULT_SIZES,
     CellReport,
     MethodStats,
     SimulationCell,
     SimulationReport,
     make_grid,
-    mse,
-    run_cell,
     run_grid,
 )
-from .regression import RegressionFit, fit_line_to_profile, ols_fit
-from .rs import estimate_rs, estimate_rsal, expected_rs, rescaled_range, rs_statistic
+from .regression import RegressionFit
+from .rs import estimate_rs, estimate_rsal, expected_rs
 from .sampling import ExponentialSpec, RngStream, derive_stream, exponential_sample
-from .series import (
-    SubseriesStats,
-    as_series,
-    centered_cumsum,
-    partition,
-    plain_cumsum,
-    range_of,
-    subseries_stats,
-)
-from .vtp import AggregationScale, aggregate, aggregated_variance, estimate_vtp
+from .vtp import estimate_vtp
 
+# What the README and the demos call, and the types those calls take or
+# return; the kernels and their helpers stay in their modules.
 __all__ = [
     "__version__",
     "HurstLabError",
     "ScalePoint",
     "EstimatorResult",
-    "WindowPolicy",
-    "DEFAULT_POLICY",
-    "SubseriesStats",
-    "as_series",
-    "partition",
-    "subseries_stats",
-    "centered_cumsum",
-    "plain_cumsum",
-    "range_of",
     "RegressionFit",
-    "ols_fit",
-    "fit_line_to_profile",
-    "rescaled_range",
-    "rs_statistic",
-    "expected_rs",
+    "WindowPolicy",
     "estimate_rs",
     "estimate_rsal",
-    "detrended_fluctuation",
-    "dfa_statistic",
     "estimate_dfa",
-    "AggregationScale",
-    "aggregate",
-    "aggregated_variance",
     "estimate_vtp",
+    "expected_rs",
     "RngStream",
     "ExponentialSpec",
     "derive_stream",
@@ -76,11 +47,6 @@ __all__ = [
     "MethodStats",
     "CellReport",
     "SimulationReport",
-    "mse",
     "make_grid",
-    "run_cell",
     "run_grid",
-    "DEFAULT_LAMBDAS",
-    "DEFAULT_SIZES",
-    "DEFAULT_ITERATION_COUNTS",
 ]

@@ -19,6 +19,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .base import MAX_WINDOW_RULES, WindowPolicy
 from .dfa import estimate_dfa
@@ -156,7 +158,15 @@ def cmd_estimate(args) -> int:
         "vtp": lambda: estimate_vtp(series, divisors_only=args.vtp_divisors_only),
     }
     wanted = ("rsal", "dfa", "vtp") if args.method == "all" else (args.method,)
-    results = [runners[name]() for name in wanted]
+    # A series whose squares exceed the float64 range would otherwise give
+    # NaN or meaningless estimates with exit 0.
+    try:
+        with np.errstate(over="raise"):
+            results = [runners[name]() for name in wanted]
+    except FloatingPointError as exc:
+        print(f"hurstlab: {exc}: the series values are too large to estimate "
+              "in float64 arithmetic", file=sys.stderr)
+        return EXIT_ESTIMATION
 
     options = {
         "method": args.method,

@@ -10,8 +10,8 @@ slopes above 1 are possible and flag non-stationarity or a failed detrend,
 so they yield a warning rather than an error.
 
 The fluctuations are computed for a (rows, N) batch of series at once;
-:func:`dfa_batch` is what the simulation grid runs, and the
-single-series functions are its one-row case.
+:func:`dfa_batch` is what the simulation grid runs, and
+:func:`estimate_dfa` is its one-row case.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .base import (
     WARN_NONSTATIONARY,
     EstimatorResult,
     LogLogFits,
-    ScalePoint,
     WindowPolicy,
     loglog_fits,
 )
@@ -32,9 +31,7 @@ from .regression import fit_rows
 from .series import as_series, segment_matrix
 
 __all__ = [
-    "detrended_fluctuation",
     "dfa_fluctuations",
-    "dfa_statistic",
     "dfa_batch",
     "estimate_dfa",
     "DFA_MIN_WINDOW",
@@ -52,11 +49,6 @@ def _fluctuations(seg: np.ndarray) -> np.ndarray:
     if n < 3:
         raise WindowTooSmall(f"DFA needs n >= 3, got {n}")
     return fit_rows(np.arange(1.0, n + 1.0), np.cumsum(seg, axis=-1))[2]
-
-
-def detrended_fluctuation(subseries) -> float:
-    """RMS fluctuation of one subseries' cumulative profile about its trend line."""
-    return float(_fluctuations(as_series(subseries)))
 
 
 def dfa_fluctuations(x: np.ndarray, windows) -> np.ndarray:
@@ -78,13 +70,6 @@ def _raise_zero(windows, stats: np.ndarray) -> None:
             raise ZeroFluctuation(
                 f"mean fluctuation at n={n} is 0 (cumulative profile is linear)"
             )
-
-
-def dfa_statistic(series, n: int) -> ScalePoint:
-    """Mean fluctuation over all subseries of length n."""
-    stats = dfa_fluctuations(as_series(series)[None, :], [n])[0]
-    _raise_zero([n], stats)
-    return ScalePoint(scale=n, statistic=float(stats[0]))
 
 
 def dfa_batch(x: np.ndarray, policy: WindowPolicy = DEFAULT_POLICY) -> LogLogFits:

@@ -47,7 +47,7 @@ class ZeroFluctuation(HurstLabError):
 
 
 class ScaleTooLarge(HurstLabError):
-    """Aggregation block size exceeds N/2."""
+    """Aggregation block size is not an integer in [1, N/2]."""
 
 
 class ZeroVariance(HurstLabError):

@@ -3,7 +3,7 @@
 One implementation serves every line fit in this package: the log-log slope
 regressions that produce the Hurst estimates, and the within-window linear
 detrending inside DFA. :func:`fit_rows` fits every row of a batch against
-one shared abscissa vector; the single-line helpers are its one-row case.
+one shared abscissa vector.
 Sums are centered (x - x_bar, y - y_bar) before any products are formed,
 which keeps the fit stable on the tightly clustered log-scale abscissae
 that show up at N = 1024.
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateDesign
 
-__all__ = ["RegressionFit", "fit_rows", "ols_fit", "fit_line_to_profile"]
+__all__ = ["RegressionFit", "fit_rows"]
 
 
 @dataclass(frozen=True)
@@ -58,33 +58,3 @@ def fit_rows(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     residuals = yc - slope[..., None] * xc
     residual_rms = np.sqrt((residuals * residuals).sum(axis=-1) / m)
     return slope, y_bar - slope * x_bar, residual_rms
-
-
-def _fit_xy(x: np.ndarray, y: np.ndarray) -> RegressionFit:
-    slope, intercept, residual_rms = fit_rows(x, y[None, :])
-    return RegressionFit(
-        slope=float(slope[0]),
-        intercept=float(intercept[0]),
-        n_points=int(x.shape[0]),
-        residual_rms=float(residual_rms[0]),
-    )
-
-
-def ols_fit(points) -> RegressionFit:
-    """Fit y = slope*x + intercept by ordinary least squares.
-
-    *points* is any sequence of (x, y) pairs. Raises DegenerateDesign when
-    there are fewer than 2 points or all x coincide.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise DegenerateDesign(f"expected (x, y) pairs, got shape {pts.shape}")
-    return _fit_xy(pts[:, 0], pts[:, 1])
-
-
-def fit_line_to_profile(profile) -> RegressionFit:
-    """OLS fit of a cumulative profile against t = 1, ..., n."""
-    y = np.asarray(profile, dtype=float)
-    if y.ndim != 1:
-        raise DegenerateDesign(f"profile must be 1-D, got shape {y.shape}")
-    return _fit_xy(np.arange(1.0, y.shape[0] + 1.0), y)

@@ -16,7 +16,7 @@ the Monte Carlo comparison this package reproduces.
 
 The statistics are computed for a (rows, N) batch of series at once;
 :func:`rsal_batch` is what the simulation grid runs, and the
-single-series functions are its one-row case.
+single-series estimators are its one-row case.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .base import (
     DEFAULT_POLICY,
     EstimatorResult,
     LogLogFits,
-    ScalePoint,
     WindowPolicy,
     loglog_fits,
 )
@@ -38,11 +37,8 @@ from .errors import AllSubseriesDegenerate, InvalidWindow, NonPositiveStatistic
 from .series import _ddof, as_series, segment_matrix
 
 __all__ = [
-    "rescaled_range",
-    "rs_statistic",
     "rs_statistics",
     "expected_rs",
-    "adjust_rs_points",
     "rsal_batch",
     "estimate_rs",
     "estimate_rsal",
@@ -61,22 +57,14 @@ def _rescaled_ranges(seg: np.ndarray, ddof: int) -> tuple[np.ndarray, np.ndarray
     return np.divide(ranges, sd, out=np.zeros_like(ranges), where=ok), ok
 
 
-def rescaled_range(subseries, sd_mode: str = "population") -> float | None:
-    """R/S of one subseries: range of the centered cumulative sum over the SD.
-
-    Returns None (degenerate) when the standard deviation is 0; callers
-    exclude such subseries from the per-window average.
-    """
-    rs, ok = _rescaled_ranges(as_series(subseries), _ddof(sd_mode))
-    return float(rs) if ok else None
-
-
-def rs_statistics(x: np.ndarray, windows, sd_mode: str = "population") -> np.ndarray:
+def rs_statistics(x: np.ndarray, windows, sd_mode: str) -> np.ndarray:
     """Mean rescaled range of each row of *x* (rows, N) at each window length.
 
-    Returns a (rows, len(windows)) matrix. Degenerate subseries (zero SD)
-    are dropped from a row's average; a row whose subseries at a window are
-    all degenerate gets NaN there.
+    The R/S of a subseries is the range of its centered cumulative sum over
+    its SD, with the n (``"population"``) or n - 1 (``"sample"``)
+    denominator. Returns a (rows, len(windows)) matrix. Degenerate
+    subseries (zero SD) are dropped from a row's average; a row whose
+    subseries at a window are all degenerate gets NaN there.
     """
     ddof = _ddof(sd_mode)
     out = np.empty((x.shape[0], len(windows)))
@@ -92,19 +80,6 @@ def _raise_degenerate(n_obs: int, windows, stats: np.ndarray) -> None:
         if math.isnan(value):
             raise AllSubseriesDegenerate(
                 f"all {n_obs // n} subseries at n={n} have zero SD")
-
-
-def rs_statistic(series, n: int, sd_mode: str = "population") -> ScalePoint:
-    """Mean rescaled range over all subseries of length n.
-
-    Degenerate subseries (zero SD) are dropped from the average; if every
-    subseries is degenerate the window is unusable and
-    AllSubseriesDegenerate is raised.
-    """
-    arr = as_series(series)
-    stats = rs_statistics(arr[None, :], [n], sd_mode)[0]
-    _raise_degenerate(arr.shape[0], [n], stats)
-    return ScalePoint(scale=n, statistic=float(stats[0]))
 
 
 @lru_cache(maxsize=None)
@@ -134,21 +109,11 @@ def _adjust(stats: np.ndarray, windows) -> np.ndarray:
     return stats - expected + asymptote
 
 
-def adjust_rs_points(points) -> list[ScalePoint]:
-    """Apply the small-sample correction to plain R/S scale points.
-
-    Raises NonPositiveStatistic if any corrected value is <= 0 (its log
+def _raise_non_positive(windows, adjusted: np.ndarray) -> None:
+    """Raise NonPositiveStatistic if a corrected value is <= 0 (its log
     would be undefined). With E(R/S)_n < sqrt(0.5*pi*n), which holds
     throughout the supported range, this cannot happen for real R/S values;
-    the check guards pathological or synthetic inputs.
-    """
-    scales = [p.scale for p in points]
-    adjusted = _adjust(np.array([p.statistic for p in points]), scales)
-    _raise_non_positive(scales, adjusted)
-    return [ScalePoint(scale=n, statistic=float(v)) for n, v in zip(scales, adjusted)]
-
-
-def _raise_non_positive(windows, adjusted: np.ndarray) -> None:
+    the check guards pathological or synthetic inputs."""
     bad = [n for n, v in zip(windows, adjusted) if v <= 0.0]
     if bad:
         raise NonPositiveStatistic(f"adjusted R/S <= 0 at n={bad}; cannot take logs")
@@ -172,8 +137,7 @@ def estimate_rs(series, policy: WindowPolicy = DEFAULT_POLICY,
     The estimators default to the sample-SD rescaled range: the
     Anis-Lloyd/Peters expectation that calibrates the adjusted variant is
     an expectation of the sample-SD statistic, and only that pairing
-    recenters independent data on H = 0.5. The low-level statistic ops keep
-    the classical population default.
+    recenters independent data on H = 0.5.
     """
     arr = as_series(series)
     windows = policy.windows(arr.shape[0])

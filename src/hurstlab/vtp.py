@@ -6,30 +6,27 @@ c * w**(-beta), so the slope of log-variance against log-w is -beta and
 H = 1 - beta/2. Unlike the R/S and DFA pipelines, w is not restricted to
 divisors of N: a trailing remainder of fewer than w observations is simply
 discarded. Block sizes up to N/2 are accepted; the default regression set
-stops at N/4 (see :func:`aggregation_scales`).
+stops at N/4 (see :func:`_default_ws`).
 
 Block means for all scales of a (rows, N) batch of series are computed in a
 single pass from the row-wise cumulative sums, with the gather/segment
 index arrays cached per series length; :func:`vtp_batch` is what the
-simulation grid runs, and the single-series functions are its one-row case.
+simulation grid runs, and :func:`estimate_vtp` is its one-row case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
-from .base import EstimatorResult, LogLogFits, ScalePoint, loglog_fits
+from .base import EstimatorResult, LogLogFits, loglog_fits
 from .errors import InsufficientScales, ScaleTooLarge, ZeroVariance
 from .series import as_series
 
 __all__ = [
-    "AggregationScale",
-    "aggregation_scales",
-    "aggregate",
-    "aggregated_variance",
     "block_count",
     "scale_variances",
     "vtp_batch",
@@ -37,23 +34,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AggregationScale:
-    """Block size w and the number of complete blocks floor(N/w)."""
-
-    w: int
-    block_count: int
-
-
 @lru_cache(maxsize=16)
 def _default_ws(n_obs: int, divisors_only: bool) -> tuple[int, ...]:
-    if divisors_only:
-        return tuple(w for w in range(1, n_obs // 4 + 1) if n_obs % w == 0)
-    return tuple(range(1, n_obs // 4 + 1))
-
-
-def aggregation_scales(n_obs: int, divisors_only: bool = False) -> list[AggregationScale]:
-    """Default scale set: every integer w from 1 to N/4.
+    """Default block sizes: every integer w from 1 to N/4.
 
     Block sizes up to N/2 are valid, but the default stops at N/4 so every
     scale keeps at least 4 complete blocks: the log of a 2- or 3-block
@@ -62,44 +45,22 @@ def aggregation_scales(n_obs: int, divisors_only: bool = False) -> list[Aggregat
     further restricted to divisors of N, for which no observations are
     discarded.
     """
-    return [
-        AggregationScale(w=w, block_count=n_obs // w)
-        for w in _default_ws(n_obs, divisors_only)
-    ]
+    if divisors_only:
+        return tuple(w for w in range(1, n_obs // 4 + 1) if n_obs % w == 0)
+    return tuple(range(1, n_obs // 4 + 1))
 
 
-def _check_scale(n_obs: int, w: int) -> int:
+def _check_scale(n_obs: int, w) -> int:
+    """*w* as a Python int, if it is an integer block size in [1, N/2]."""
+    try:
+        w = operator.index(w)
+    except TypeError:
+        raise ScaleTooLarge(f"block size must be an integer, got {w!r}") from None
     if w < 1:
         raise ScaleTooLarge(f"block size must be >= 1, got {w}")
     if w > n_obs // 2:
         raise ScaleTooLarge(f"block size w={w} exceeds N/2 = {n_obs // 2}")
-    return n_obs // w
-
-
-def aggregate(series, w: int) -> np.ndarray:
-    """Means of consecutive non-overlapping blocks of size w.
-
-    Keeps the floor(N/w) complete blocks; trailing remainder observations
-    are discarded.
-    """
-    arr = as_series(series)
-    nb = _check_scale(arr.shape[0], w)
-    return arr[: nb * w].reshape(nb, w).mean(axis=1)
-
-
-def aggregated_variance(series, w: int) -> ScalePoint:
-    """Variance of the w-aggregated series about the grand mean.
-
-    The reference mean is the sample mean of the ORIGINAL series (for
-    divisor w it coincides with the mean of the block means); the
-    denominator is the block count.
-    """
-    arr = as_series(series)
-    _check_scale(arr.shape[0], w)
-    var = float(scale_variances(arr[None, :], (w,))[0, 0])
-    if var == 0.0:
-        raise ZeroVariance(f"aggregated variance at w={w} is 0; cannot take logs")
-    return ScalePoint(scale=w, statistic=var)
+    return w
 
 
 @lru_cache(maxsize=16)
@@ -126,7 +87,11 @@ def block_count(n_obs: int, divisors_only: bool = False) -> int:
 def scale_variances(x: np.ndarray, ws: tuple[int, ...]) -> np.ndarray:
     """Aggregated variance of each row of *x* (rows, N) at each block size.
 
-    Returns a (rows, len(ws)) matrix; see :func:`aggregated_variance`.
+    The block means of size w are those of the floor(N/w) complete blocks;
+    trailing remainder observations are discarded. Their variance is taken
+    about the sample mean of the ORIGINAL series (for divisor w it
+    coincides with the mean of the block means), with the block count as
+    the denominator. Returns a (rows, len(ws)) matrix.
     """
     starts, ends, widths, seg_starts, counts = _gather_plan(x.shape[-1], ws)
     cs = np.zeros((x.shape[0], x.shape[-1] + 1))
@@ -146,9 +111,7 @@ def vtp_batch(x: np.ndarray, scales=None, divisors_only: bool = False) -> LogLog
     if scales is None:
         ws = _default_ws(n_obs, divisors_only)
     else:
-        ws = tuple(getattr(s, "w", s) for s in scales)
-        for w in ws:
-            _check_scale(n_obs, w)
+        ws = tuple(_check_scale(n_obs, w) for w in scales)
     if len(set(ws)) < 2:
         raise InsufficientScales(f"need >= 2 distinct block sizes, got {sorted(set(ws))}")
     fits = loglog_fits("VTP", ws, scale_variances(x, ws))
@@ -159,8 +122,8 @@ def vtp_batch(x: np.ndarray, scales=None, divisors_only: bool = False) -> LogLog
 def estimate_vtp(series, scales=None, divisors_only: bool = False) -> EstimatorResult:
     """VTP Hurst estimate: H = 1 - beta/2 from the log-log variance decay.
 
-    *scales* may be a list of AggregationScale (or plain block sizes); by
-    default every w in [1, N/4] is used (see :func:`aggregation_scales`).
+    *scales* is a sequence of integer block sizes in [1, N/2]; by default
+    every w in [1, N/4] is used (see :func:`_default_ws`).
 
     The estimate is biased low on short series (Taqqu, Teverovsky &
     Willinger 1995, *Fractals* 3(4)). The log of an m-block variance

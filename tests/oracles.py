@@ -41,6 +41,48 @@ def vtp_mean_shift(n_obs: int) -> float:
     return -float(slope) / 2.0
 
 
+def rescaled_range_reference(series, n: int, ddof: int) -> float:
+    """Mean R/S over the subseries of length n, one subseries at a time:
+    center, cumulate, take the range, divide by the SD with the given
+    ddof, and average over the subseries whose SD is not zero."""
+    series = np.asarray(series, dtype=float)
+    ratios = []
+    for m in range(len(series) // n):
+        sub = series[m * n:(m + 1) * n]
+        std = sub.std(ddof=ddof)
+        if std == 0:
+            continue
+        profile = np.cumsum(sub - sub.mean())
+        ratios.append((profile.max() - profile.min()) / std)
+    return float(np.mean(ratios))
+
+
+def fluctuation_reference(subseries) -> float:
+    """DFA fluctuation of one subseries: cumulate without centering, fit a
+    line over t = 1..n with polyfit, take the RMS of the residuals."""
+    profile = np.cumsum(np.asarray(subseries, dtype=float))
+    t = np.arange(1, len(profile) + 1)
+    slope, intercept = np.polyfit(t, profile, 1)
+    residuals = profile - (slope * t + intercept)
+    return math.sqrt(np.mean(residuals**2))
+
+
+def dfa_fluctuation_reference(series, n: int) -> float:
+    """Mean DFA fluctuation over the subseries of length n."""
+    series = np.asarray(series, dtype=float)
+    return float(np.mean([fluctuation_reference(seg) for seg in series.reshape(-1, n)]))
+
+
+def aggregated_variance_reference(series, w: int) -> float:
+    """VTP variance at block size w, one block at a time: the means of the
+    floor(N/w) complete blocks, squared about the mean of the whole series
+    and averaged over the blocks."""
+    series = np.asarray(series, dtype=float)
+    grand_mean = series.mean()
+    means = [series[k * w:(k + 1) * w].mean() for k in range(len(series) // w)]
+    return float(np.mean([(m - grand_mean) ** 2 for m in means]))
+
+
 class ReferenceParseError(Exception):
     """A series-file line the reference parser rejects (1-based number)."""
 

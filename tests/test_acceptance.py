@@ -23,10 +23,10 @@ from hurstlab import (
     run_grid,
 )
 from hurstlab import montecarlo
-from hurstlab.dfa import detrended_fluctuation
+from hurstlab.dfa import dfa_fluctuations
 from hurstlab.report import report_to_json
-from hurstlab.rs import rescaled_range
-from hurstlab.vtp import aggregated_variance, block_count
+from hurstlab.rs import rs_statistics
+from hurstlab.vtp import block_count, scale_variances
 from oracles import vtp_mean_shift
 
 MASTER_SEED = 42
@@ -165,11 +165,12 @@ def test_criterion_5_expected_rs_oracle():
 def test_criterion_6_hand_derived_step_oracles():
     violations = []
     checks = [
-        ("detrended_fluctuation([1,-1,1,-1])",
-         detrended_fluctuation([1, -1, 1, -1]), math.sqrt(0.2)),
-        ("rescaled_range([1,2,3])", rescaled_range([1, 2, 3]), math.sqrt(1.5)),
-        ("aggregated_variance([1,2,3,4], w=2)",
-         aggregated_variance([1, 2, 3, 4], 2).statistic, 1.0),
+        ("dfa_fluctuations([[1,-1,1,-1]], n=4)",
+         dfa_fluctuations(np.array([[1.0, -1.0, 1.0, -1.0]]), [4])[0, 0], math.sqrt(0.2)),
+        ("rs_statistics([[1,2,3]], n=3, population)",
+         rs_statistics(np.array([[1.0, 2.0, 3.0]]), [3], "population")[0, 0], math.sqrt(1.5)),
+        ("scale_variances([[1,2,3,4]], w=2)",
+         scale_variances(np.array([[1.0, 2.0, 3.0, 4.0]]), (2,))[0, 0], 1.0),
     ]
     for label, got, want in checks:
         if abs(got - want) > 1e-12:

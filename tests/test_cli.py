@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,20 @@ class TestEstimate:
         path.write_text("\n".join(str(i + 1) for i in range(8)) + "\n")
         assert main(["estimate", str(path)]) == 3
         assert "InsufficientWindows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["all", "rsal", "dfa", "vtp"])
+    def test_overflowing_squares_are_estimation_error(self, tmp_path, capsys, method):
+        # finite values whose squares exceed the float64 range
+        sample = exponential_sample(derive_stream(5, 0, 0), ExponentialSpec(1.0, 256))
+        path = tmp_path / "huge.txt"
+        path.write_text("".join(f"{x!r}\n" for x in (sample * 1e200).tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", str(path), "--method", method]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("hurstlab: overflow encountered in multiply: the series values "
+                       "are too large to estimate in float64 arithmetic\n")
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["estimate", str(tmp_path / "nope.txt")]) == 2

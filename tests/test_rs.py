@@ -3,82 +3,66 @@ import math
 import numpy as np
 import pytest
 
-from hurstlab.base import ScalePoint, WindowPolicy, loglog_fits
+from hurstlab.base import WindowPolicy
 from hurstlab.errors import (
     AllSubseriesDegenerate,
     InsufficientWindows,
     InvalidWindow,
     NonPositiveStatistic,
 )
-from hurstlab.rs import (
-    adjust_rs_points,
-    estimate_rs,
-    estimate_rsal,
-    expected_rs,
-    rescaled_range,
-    rs_statistic,
-)
+from hurstlab.rs import estimate_rs, estimate_rsal, expected_rs, rs_statistics
+from oracles import rescaled_range_reference
 
 
-def brute_force_rs(series, n, ddof=0):
-    """Literal subseries loop: center, cumulate, range, rescale, average."""
-    series = np.asarray(series, dtype=float)
-    ratios = []
-    for m in range(len(series) // n):
-        sub = series[m * n:(m + 1) * n]
-        std = sub.std(ddof=ddof)
-        if std == 0:
-            continue
-        profile = np.cumsum(sub - sub.mean())
-        ratios.append((profile.max() - profile.min()) / std)
-    return float(np.mean(ratios))
+def _rs(values, windows, sd_mode="population"):
+    """Mean R/S of one series at each window."""
+    return rs_statistics(np.array([values], dtype=float), windows, sd_mode)[0]
 
 
 class TestRescaledRange:
+    """R/S of a single subseries: the window is the whole series."""
+
     def test_arithmetic_progression(self):
-        assert rescaled_range([1, 2, 3]) == pytest.approx(math.sqrt(1.5), abs=1e-12)
+        assert _rs([1, 2, 3], [3])[0] == pytest.approx(math.sqrt(1.5), abs=1e-12)
 
     def test_degenerate_marker(self):
-        assert rescaled_range([5, 5, 5]) is None
+        assert math.isnan(_rs([5, 5, 5], [3])[0])
 
     def test_two_points(self):
-        assert rescaled_range([1, 3]) == pytest.approx(1.0, abs=1e-12)
+        assert _rs([1, 3], [2])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_sample_mode(self):
         # R = 1, sample SD of [1,2,3] is 1
-        assert rescaled_range([1, 2, 3], sd_mode="sample") == pytest.approx(1.0, abs=1e-12)
+        assert _rs([1, 2, 3], [3], "sample")[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRsStatistic:
     def test_two_identical_progressions(self):
-        point = rs_statistic([1, 2, 3, 1, 3, 5], 3)
-        assert point.scale == 3
-        assert point.statistic == pytest.approx(math.sqrt(1.5), abs=1e-6)
+        assert _rs([1, 2, 3, 1, 3, 5], [3])[0] == pytest.approx(math.sqrt(1.5), abs=1e-6)
 
     def test_matches_brute_force(self, exp_series):
         series = exp_series(96, seed=21)
-        for n in (2, 3, 4, 8, 16, 48):
-            assert rs_statistic(series, n).statistic == pytest.approx(
-                brute_force_rs(series, n), rel=1e-12
-            )
-            assert rs_statistic(series, n, "sample").statistic == pytest.approx(
-                brute_force_rs(series, n, ddof=1), rel=1e-12
-            )
+        windows = (2, 3, 4, 8, 16, 48)
+        for sd_mode, ddof in (("population", 0), ("sample", 1)):
+            stats = _rs(series, windows, sd_mode)
+            for n, value in zip(windows, stats):
+                assert value == pytest.approx(
+                    rescaled_range_reference(series, n, ddof), rel=1e-12
+                )
 
     def test_constant_series_degenerate(self):
-        with pytest.raises(AllSubseriesDegenerate):
-            rs_statistic([3.0] * 8, 4)
+        assert np.isnan(_rs([3.0] * 8, [2, 4])).all()
+        with pytest.raises(AllSubseriesDegenerate, match="all 4 subseries at n=2"):
+            estimate_rs([3.0] * 8)
 
     def test_whole_series_window(self, exp_series):
         series = exp_series(32, seed=2)
-        point = rs_statistic(series, 32)
-        assert point.statistic == pytest.approx(rescaled_range(series), rel=1e-12)
+        value = _rs(series, [2, 32])[1]
+        assert value == pytest.approx(rescaled_range_reference(series, 32, 0), rel=1e-12)
 
     def test_degenerate_subseries_excluded(self):
         # first pair constant, second informative
-        series = [2.0, 2.0, 1.0, 3.0]
-        point = rs_statistic(series, 2)
-        assert point.statistic == pytest.approx(1.0, abs=1e-12)
+        assert _rs([2.0, 2.0, 1.0, 3.0], [2])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExpectedRs:
@@ -127,21 +111,28 @@ class TestExpectedRs:
 
 
 class TestAdjustRsPoints:
-    def test_expectation_matched_series_gives_half(self):
-        # statistic equal to its expectation at every n collapses onto
-        # sqrt(0.5*pi*n), whose log-log slope is exactly 0.5
-        points = [ScalePoint(n, expected_rs(n)) for n in (2, 4, 8, 16, 32, 64)]
-        adjusted = adjust_rs_points(points)
-        fit = loglog_fits(
-            "RSAL", [p.scale for p in adjusted], np.array([[p.statistic for p in adjusted]])
-        ).result().fit
-        assert fit.slope == pytest.approx(0.5, abs=1e-12)
-        assert fit.residual_rms < 1e-12
+    """The small-sample correction inside estimate_rsal, on R/S values
+    injected in place of the kernel's."""
 
-    def test_non_positive_guard(self):
-        bad = [ScalePoint(4, 1.0), ScalePoint(8, -9.0)]
+    def test_expectation_matched_series_gives_half(self, monkeypatch):
+        # R/S equal to its expectation at every n collapses onto
+        # sqrt(0.5*pi*n), whose log-log slope is exactly 0.5
+        monkeypatch.setattr(
+            "hurstlab.rs.rs_statistics",
+            lambda x, windows, sd_mode: np.array([[expected_rs(n) for n in windows]]),
+        )
+        result = estimate_rsal(np.arange(128.0))
+        assert [p.scale for p in result.points] == [2, 4, 8, 16, 32, 64]
+        assert result.fit.slope == pytest.approx(0.5, abs=1e-12)
+        assert result.fit.residual_rms < 1e-12
+
+    def test_non_positive_guard(self, monkeypatch):
+        monkeypatch.setattr(
+            "hurstlab.rs.rs_statistics",
+            lambda x, windows, sd_mode: np.array([[1.0, 1.0, -9.0]]),
+        )
         with pytest.raises(NonPositiveStatistic, match="n=\\[8\\]"):
-            adjust_rs_points(bad)
+            estimate_rsal(np.arange(16.0))
 
 
 class TestEstimators:

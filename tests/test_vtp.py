@@ -2,51 +2,50 @@ import numpy as np
 import pytest
 
 from hurstlab.errors import InsufficientScales, ScaleTooLarge, ZeroVariance
-from hurstlab.vtp import (
-    AggregationScale,
-    _default_ws,
-    _gather_plan,
-    aggregate,
-    aggregated_variance,
-    aggregation_scales,
-    estimate_vtp,
-)
-from oracles import gather_plan_reference, vtp_mean_shift
+from hurstlab.vtp import _default_ws, _gather_plan, estimate_vtp, scale_variances
+from oracles import aggregated_variance_reference, gather_plan_reference, vtp_mean_shift
+
+
+def _var(values, ws):
+    """Aggregated variance of one series at each block size."""
+    return scale_variances(np.array([values], dtype=float), tuple(ws))[0]
 
 
 class TestAggregate:
+    """The block means behind each variance."""
+
     def test_pairwise_means(self):
-        np.testing.assert_allclose(aggregate([1, 2, 3, 4], 2), [1.5, 3.5])
+        # block means [1.5, 3.5, 5.5] about the mean 3.5
+        assert _var([1, 2, 3, 4, 5, 6], [2])[0] == pytest.approx(8.0 / 3.0, abs=1e-12)
 
     def test_identity_scale(self, exp_series):
         series = exp_series(20, seed=40)
-        np.testing.assert_array_equal(aggregate(series, 1), series)
+        assert _var(series, [1])[0] == pytest.approx(np.var(series), rel=1e-12)
 
     def test_remainder_discarded(self):
-        np.testing.assert_allclose(aggregate([1, 2, 3, 4, 5], 2), [1.5, 3.5])
+        # block means [1.5, 3.5]; the 5 counts only in the mean 3
+        assert _var([1, 2, 3, 4, 5], [2])[0] == pytest.approx(1.25, abs=1e-12)
 
     def test_scale_too_large(self):
         with pytest.raises(ScaleTooLarge):
-            aggregate([1, 2, 3, 4], 3)
+            estimate_vtp([1, 2, 3, 4], scales=[1, 3])
 
     def test_nonpositive_scale(self):
         with pytest.raises(ScaleTooLarge):
-            aggregate([1, 2, 3, 4], 0)
+            estimate_vtp([1, 2, 3, 4], scales=[0, 1])
 
 
 class TestAggregatedVariance:
     def test_hand_case(self):
-        point = aggregated_variance([1, 2, 3, 4], 2)
-        assert point.scale == 2
-        assert point.statistic == pytest.approx(1.0, abs=1e-12)
+        assert _var([1, 2, 3, 4], [2])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_series(self):
-        with pytest.raises(ZeroVariance):
-            aggregated_variance([5.0] * 8, 2)
+        assert _var([5.0] * 8, [1, 2]).tolist() == [0.0, 0.0]
+        with pytest.raises(ZeroVariance, match="w=\\[1, 2\\]"):
+            estimate_vtp([5.0] * 8, scales=[1, 2])
 
     def test_scale_one_is_population_variance(self):
-        point = aggregated_variance([1, 2, 3, 4], 1)
-        assert point.statistic == pytest.approx(1.25, abs=1e-12)
+        assert _var([1, 2, 3, 4], [1])[0] == pytest.approx(1.25, abs=1e-12)
 
     def test_grand_mean_used_for_non_divisors(self):
         # 5 observations at w=2: blocks exclude the 5th value but the
@@ -54,14 +53,13 @@ class TestAggregatedVariance:
         series = np.array([1.0, 2.0, 3.0, 4.0, 100.0])
         blocks = np.array([1.5, 3.5])
         expected = float(((blocks - series.mean()) ** 2).mean())
-        assert aggregated_variance(series, 2).statistic == pytest.approx(expected, rel=1e-12)
+        assert _var(series, [2])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_scale_equivariance(self, exp_series):
         series = exp_series(64, seed=41)
-        base = aggregated_variance(series, 4).statistic
+        base = _var(series, [4])[0]
         for a in (0.5, 3.0):
-            scaled = aggregated_variance(a * series, 4).statistic
-            assert scaled == pytest.approx(a * a * base, rel=1e-12)
+            assert _var(a * series, [4])[0] == pytest.approx(a * a * base, rel=1e-12)
 
 
 class TestGatherPlan:
@@ -92,15 +90,16 @@ class TestGatherPlan:
 
 
 class TestAggregationScales:
+    """The default block sizes."""
+
     def test_default_keeps_four_blocks(self):
-        scales = aggregation_scales(128)
-        assert scales[0] == AggregationScale(w=1, block_count=128)
-        assert scales[-1] == AggregationScale(w=32, block_count=4)
-        assert all(s.block_count >= 4 for s in scales)
+        ws = _default_ws(128, False)
+        assert ws == tuple(range(1, 33))
+        assert all(128 // w >= 4 for w in ws)
+        assert 128 // ws[-1] == 4
 
     def test_divisors_only(self):
-        scales = aggregation_scales(24, divisors_only=True)
-        assert [s.w for s in scales] == [1, 2, 3, 4, 6]
+        assert _default_ws(24, True) == (1, 2, 3, 4, 6)
 
 
 class TestEstimateVtp:
@@ -119,7 +118,7 @@ class TestEstimateVtp:
         assert [p.scale for p in result.points] == list(range(1, 26))
         for point in result.points:
             assert point.statistic == pytest.approx(
-                aggregated_variance(series, point.scale).statistic, rel=1e-12
+                aggregated_variance_reference(series, point.scale), rel=1e-12
             )
 
     def test_result_structure(self, exp_series):
@@ -130,11 +129,19 @@ class TestEstimateVtp:
 
     def test_explicit_scales(self, exp_series):
         series = exp_series(64, seed=44)
-        scales = [AggregationScale(w=w, block_count=64 // w) for w in (1, 2, 4, 8)]
-        result = estimate_vtp(series, scales=scales)
+        result = estimate_vtp(series, scales=np.array([1, 2, 4, 8]))
         assert [p.scale for p in result.points] == [1, 2, 4, 8]
+        assert all(type(p.scale) is int for p in result.points)
         plain = estimate_vtp(series, scales=[1, 2, 4, 8])
-        assert plain.hurst == result.hurst
+        assert plain == result
+
+    def test_non_integer_scale_rejected(self, exp_series):
+        # no block holds 2.5 observations: taking it would fit the variance
+        # of blocks of 2 at log 2.5
+        series = exp_series(64, seed=44)
+        for bad in (2.5, 2.0, "2"):
+            with pytest.raises(ScaleTooLarge, match="integer"):
+                estimate_vtp(series, scales=[1, bad, 4])
 
     def test_insufficient_scales(self, exp_series):
         with pytest.raises(InsufficientScales):
