@@ -32,12 +32,13 @@ for result in (
 ):
     print(f"\n{result.method}: H = {result.hurst:.4f}")
     print(f"  fit: slope={result.fit.slope:.4f} intercept={result.fit.intercept:.4f} "
-          f"rms={result.fit.residual_rms:.4f} over {result.fit.n_points} points")
+          f"rms={result.fit.residual_rms:.4f} over {result.scales.size} points")
     if result.warnings:
         print(f"  warnings: {', '.join(result.warnings)}")
 
 # The regression points behind the adjusted R/S estimate: the statistic
 # grows like n**0.5 once the finite-sample expectation is removed.
 print("\nadjusted R/S scale points (n, statistic, statistic/sqrt(n)):")
-for p in estimate_rsal(series).points:
-    print(f"  {p.scale:4d}  {p.statistic:9.4f}  {p.statistic / np.sqrt(p.scale):.4f}")
+result = estimate_rsal(series)
+for n, statistic in zip(result.scales, result.statistics):
+    print(f"  {n:4d}  {statistic:9.4f}  {statistic / np.sqrt(n):.4f}")

@@ -9,7 +9,7 @@ the true value is H = 0.5.
 
 __version__ = "0.1.0"
 
-from .base import EstimatorResult, ScalePoint, WindowPolicy
+from .base import EstimatorResult, WindowPolicy
 from .dfa import estimate_dfa
 from .errors import HurstLabError
 from .montecarlo import (
@@ -30,7 +30,6 @@ from .vtp import estimate_vtp
 __all__ = [
     "__version__",
     "HurstLabError",
-    "ScalePoint",
     "EstimatorResult",
     "RegressionFit",
     "WindowPolicy",

@@ -1,4 +1,4 @@
-"""Shared estimator plumbing: scale points, results, and the window policy.
+"""Shared estimator plumbing: results, log-log fits, and the window policy.
 
 The three estimators all reduce a series to (scale, statistic) pairs and
 regress log(statistic) on log(scale); what differs is the statistic and how
@@ -10,7 +10,7 @@ estimate is its one-row case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .errors import InsufficientWindows
 from .regression import RegressionFit, fit_rows
 
 __all__ = [
-    "ScalePoint",
     "EstimatorResult",
     "LogLogFits",
     "WindowPolicy",
@@ -35,25 +34,21 @@ MAX_WINDOW_RULES = ("half-N", "full-N")
 
 
 @dataclass(frozen=True)
-class ScalePoint:
-    """One (scale, statistic) pair feeding a log-log regression."""
-
-    scale: int
-    statistic: float
-
-
-@dataclass(frozen=True)
 class EstimatorResult:
     """Outcome of one Hurst estimation run.
 
     ``hurst`` is the method's mapping of ``fit.slope``: the identity for
-    RS/RSAL/DFA, 1 - beta/2 with beta = -slope for VTP.
+    RS/RSAL/DFA, 1 - beta/2 with beta = -slope for VTP. ``scales`` (int64)
+    and ``statistics`` (float64) are the read-only points of the log-log
+    regression, one per scale. Array fields make ``==`` on whole results
+    ambiguous; compare the fields.
     """
 
     method: str
     hurst: float
     fit: RegressionFit
-    points: tuple[ScalePoint, ...]
+    scales: np.ndarray
+    statistics: np.ndarray
     warnings: tuple[str, ...] = ()
 
 
@@ -121,13 +116,14 @@ DEFAULT_POLICY = WindowPolicy()
 class LogLogFits:
     """Log-log regressions of a batch of equal-length series, one per row.
 
-    ``statistics`` has one row per series and one column per scale. A row
-    with a NaN or non-positive statistic failed: its fit and its ``hurst``
-    are NaN. ``hurst`` is the method's mapping of ``slope``.
+    ``statistics`` has one row per series and one column per scale of
+    ``scales``; both are read-only. A row with a NaN or non-positive
+    statistic failed: its fit and its ``hurst`` are NaN. ``hurst`` is the
+    method's mapping of ``slope``.
     """
 
     method: str
-    scales: tuple[int, ...]
+    scales: np.ndarray
     statistics: np.ndarray
     slope: np.ndarray
     intercept: np.ndarray
@@ -139,22 +135,22 @@ class LogLogFits:
         fit = RegressionFit(
             slope=float(self.slope[row]),
             intercept=float(self.intercept[row]),
-            n_points=len(self.scales),
             residual_rms=float(self.residual_rms[row]),
         )
-        points = tuple(map(ScalePoint, self.scales, self.statistics[row].tolist()))
-        return EstimatorResult(method=self.method, hurst=float(self.hurst[row]),
-                               fit=fit, points=points, warnings=warnings)
+        return EstimatorResult(method=self.method, hurst=float(self.hurst[row]), fit=fit,
+                               scales=self.scales, statistics=self.statistics[row],
+                               warnings=warnings)
 
 
 def loglog_fits(method: str, scales, statistics: np.ndarray) -> LogLogFits:
     """Row-wise OLS of log(statistic) against log(scale); ``hurst`` = slope.
 
-    *statistics* is (rows, len(scales)). Non-positive or NaN statistics
-    have no log, so their rows come out NaN.
+    *statistics* is (rows, len(scales)) and is made read-only. Non-positive
+    or NaN statistics have no log, so their rows come out NaN.
     """
-    scales = tuple(scales)
+    scales = np.array(scales, dtype=np.int64)
+    scales.flags.writeable = statistics.flags.writeable = False
     logs = np.log(np.where(statistics > 0.0, statistics, np.nan))
-    slope, intercept, residual_rms = fit_rows(np.log(np.array(scales, dtype=float)), logs)
+    slope, intercept, residual_rms = fit_rows(np.log(scales.astype(float)), logs)
     return LogLogFits(method=method, scales=scales, statistics=statistics, slope=slope,
                       intercept=intercept, residual_rms=residual_rms, hurst=slope)

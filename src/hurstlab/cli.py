@@ -53,6 +53,9 @@ DEFAULT_SEED = 42
 SEED_ENV_VAR = "HURSTLAB_SEED"
 MAX_SEED = 2**64 - 1
 MIN_CLI_OBSERVATIONS = 16
+# expected-rs rows cost O(n) time and memory; the library function is unbounded.
+MAX_EXPECTED_RS_N = 10**6
+MAX_EXPECTED_RS_ROWS = 1000
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -225,6 +228,11 @@ def _parse_n_range(text: str) -> range:
     last = int(hi) if sep else first
     if last < first:
         raise ValueError(f"empty range {text!r}")
+    if last > MAX_EXPECTED_RS_N:
+        raise ValueError(f"n={last} is above the limit of {MAX_EXPECTED_RS_N}")
+    if last - first >= MAX_EXPECTED_RS_ROWS:
+        raise ValueError(f"range {text!r} has {last - first + 1} rows, "
+                         f"above the limit of {MAX_EXPECTED_RS_ROWS}")
     return range(first, last + 1)
 
 

@@ -64,14 +64,6 @@ def dfa_fluctuations(x: np.ndarray, windows) -> np.ndarray:
     return out
 
 
-def _raise_zero(windows, stats: np.ndarray) -> None:
-    for n, value in zip(windows, stats):
-        if value == 0.0:
-            raise ZeroFluctuation(
-                f"mean fluctuation at n={n} is 0 (cumulative profile is linear)"
-            )
-
-
 def dfa_batch(x: np.ndarray, policy: WindowPolicy = DEFAULT_POLICY) -> LogLogFits:
     """DFA fits of every row of *x* (rows, N); a row with a zero mean
     fluctuation at some window fails (NaN)."""
@@ -82,6 +74,9 @@ def dfa_batch(x: np.ndarray, policy: WindowPolicy = DEFAULT_POLICY) -> LogLogFit
 def estimate_dfa(series, policy: WindowPolicy = DEFAULT_POLICY) -> EstimatorResult:
     """DFA Hurst estimate over the policy's window set."""
     fits = dfa_batch(as_series(series)[None, :], policy)
-    _raise_zero(fits.scales, fits.statistics[0])
+    zero = fits.scales[fits.statistics[0] == 0.0]
+    if zero.size:
+        raise ZeroFluctuation(
+            f"mean fluctuation at n={zero[0]} is 0 (cumulative profile is linear)")
     warnings = (WARN_NONSTATIONARY,) if fits.slope[0] > 1.0 else ()
     return fits.result(warnings=warnings)

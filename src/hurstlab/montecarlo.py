@@ -128,7 +128,12 @@ def mse(estimates, true_h: float = TRUE_HURST) -> float:
 
 def make_grid(lambdas=DEFAULT_LAMBDAS, sizes=DEFAULT_SIZES,
               iteration_counts=DEFAULT_ITERATION_COUNTS) -> list[SimulationCell]:
-    """The cross-product cell list in configuration order."""
+    """The cross-product cell list in configuration order. An axis that
+    repeats a value raises ValueError: reports key cells by coordinates."""
+    for name, axis in (("lambdas", lambdas), ("sizes", sizes),
+                       ("iteration_counts", iteration_counts)):
+        if len(set(axis)) < len(axis):
+            raise ValueError(f"{name} repeats a value: {list(axis)}")
     return [
         SimulationCell(lam=lam, length=size, iterations=iters)
         for lam in lambdas

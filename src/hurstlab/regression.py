@@ -30,7 +30,6 @@ class RegressionFit:
 
     slope: float
     intercept: float
-    n_points: int
     residual_rms: float
 
 

@@ -243,15 +243,15 @@ def _dumps_at(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def _points_json(points) -> str:
+def _points_json(r: EstimatorResult) -> str:
     """A result's "points" array, laid out as ``json.dumps(indent=2)`` nests it
     in :func:`estimates_to_json`, one f-string per point."""
-    if not points:
+    if not r.scales.size:
         return "[]"
     items = ",\n".join(
-        f'        {{\n          "scale": {p.scale},\n'
-        f'          "statistic": {_json_float(p.statistic)}\n        }}'
-        for p in points
+        f'        {{\n          "scale": {w},\n'
+        f'          "statistic": {_json_float(s)}\n        }}'
+        for w, s in zip(r.scales.tolist(), r.statistics.tolist())
     )
     return f"[\n{items}\n      ]"
 
@@ -260,7 +260,7 @@ def _result_json(r: EstimatorResult) -> str:
     fit = {
         "slope": r.fit.slope,
         "intercept": r.fit.intercept,
-        "n_points": r.fit.n_points,
+        "n_points": r.scales.size,
         "residual_rms": r.fit.residual_rms,
     }
     return (
@@ -268,7 +268,7 @@ def _result_json(r: EstimatorResult) -> str:
         f'      "method": {json.dumps(r.method)},\n'
         f'      "hurst": {json.dumps(r.hurst)},\n'
         f'      "fit": {_dumps_at(fit, 3)},\n'
-        f'      "points": {_points_json(r.points)},\n'
+        f'      "points": {_points_json(r)},\n'
         f'      "warnings": {_dumps_at(list(r.warnings), 3)}\n'
         "    }"
     )
@@ -295,22 +295,11 @@ def estimates_to_csv(results: list[EstimatorResult]) -> str:
     """Summary table plus the regression points, at 6 significant digits."""
     lines = ["method,hurst,slope,intercept,residual_rms,n_points,warnings"]
     for r in results:
-        lines.append(
-            ",".join(
-                [
-                    r.method,
-                    _fmt6g(r.hurst),
-                    _fmt6g(r.fit.slope),
-                    _fmt6g(r.fit.intercept),
-                    _fmt6g(r.fit.residual_rms),
-                    str(r.fit.n_points),
-                    ";".join(r.warnings),
-                ]
-            )
-        )
-    lines.append("# points")
-    lines.append("method,scale,statistic")
+        numbers = (r.hurst, r.fit.slope, r.fit.intercept, r.fit.residual_rms)
+        lines.append(",".join([r.method, *map(_fmt6g, numbers), str(r.scales.size),
+                               ";".join(r.warnings)]))
+    lines += ["# points", "method,scale,statistic"]
     for r in results:
-        for p in r.points:
-            lines.append(f"{r.method},{p.scale},{_fmt6g(p.statistic)}")
+        lines.extend(f"{r.method},{w},{_fmt6g(s)}"
+                     for w, s in zip(r.scales.tolist(), r.statistics.tolist()))
     return "\n".join(lines) + "\n"

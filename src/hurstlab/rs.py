@@ -114,7 +114,7 @@ def _raise_non_positive(windows, adjusted: np.ndarray) -> None:
     would be undefined). With E(R/S)_n < sqrt(0.5*pi*n), which holds
     throughout the supported range, this cannot happen for real R/S values;
     the check guards pathological or synthetic inputs."""
-    bad = [n for n, v in zip(windows, adjusted) if v <= 0.0]
+    bad = windows[adjusted <= 0.0].tolist()
     if bad:
         raise NonPositiveStatistic(f"adjusted R/S <= 0 at n={bad}; cannot take logs")
 

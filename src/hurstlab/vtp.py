@@ -51,7 +51,8 @@ def _default_ws(n_obs: int, divisors_only: bool) -> tuple[int, ...]:
 
 
 def _check_scale(n_obs: int, w) -> int:
-    """*w* as a Python int, if it is an integer block size in [1, N/2]."""
+    """*w* as a Python int, if it is an integer block size in [1, N/2], so
+    that error messages listing block sizes never show numpy scalar reprs."""
     try:
         w = operator.index(w)
     except TypeError:
@@ -136,7 +137,7 @@ def estimate_vtp(series, scales=None, divisors_only: bool = False) -> EstimatorR
     applied.
     """
     fits = vtp_batch(as_series(series)[None, :], scales, divisors_only)
-    zero = [fits.scales[i] for i in np.flatnonzero(fits.statistics[0] == 0.0)]
+    zero = fits.scales[fits.statistics[0] == 0.0].tolist()
     if zero:
         raise ZeroVariance(f"aggregated variance is 0 at w={zero}; cannot take logs")
     return fits.result()

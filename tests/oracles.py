@@ -150,11 +150,12 @@ def estimates_json_reference(results, input_path: str, n_observations: int,
                 "fit": {
                     "slope": r.fit.slope,
                     "intercept": r.fit.intercept,
-                    "n_points": r.fit.n_points,
+                    "n_points": len(r.scales),
                     "residual_rms": r.fit.residual_rms,
                 },
                 "points": [
-                    {"scale": p.scale, "statistic": p.statistic} for p in r.points
+                    {"scale": int(w), "statistic": float(s)}
+                    for w, s in zip(r.scales, r.statistics)
                 ],
                 "warnings": list(r.warnings),
             }
@@ -162,3 +163,50 @@ def estimates_json_reference(results, input_path: str, n_observations: int,
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def estimates_csv_reference(results) -> str:
+    """The estimate table, one line per (scale, statistic) pair, at 6
+    significant digits."""
+    def fmt(x):
+        return f"{x:.6g}"
+
+    lines = ["method,hurst,slope,intercept,residual_rms,n_points,warnings"]
+    for r in results:
+        lines.append(",".join([
+            r.method, fmt(r.hurst), fmt(r.fit.slope), fmt(r.fit.intercept),
+            fmt(r.fit.residual_rms), str(len(r.scales)), ";".join(r.warnings),
+        ]))
+    lines.append("# points")
+    lines.append("method,scale,statistic")
+    for r in results:
+        for w, s in zip(r.scales, r.statistics):
+            lines.append(f"{r.method},{int(w)},{fmt(float(s))}")
+    return "\n".join(lines) + "\n"
+
+
+def first_difference(got: str, expected: str):
+    """(line number, got line, expected line) where two texts first differ,
+    or None if they are equal. Keeps a failure on a long document readable
+    without a full diff."""
+    if got == expected:
+        return None
+    got_lines, expected_lines = got.split("\n"), expected.split("\n")
+    for lineno, (a, b) in enumerate(zip(got_lines, expected_lines), start=1):
+        if a != b:
+            return lineno, a, b
+    n = min(len(got_lines), len(expected_lines))
+    return n + 1, got_lines[n:n + 1], expected_lines[n:n + 1]
+
+
+def assert_results_equal(got, expected) -> None:
+    """Two estimator results are equal field by field, their point arrays
+    bit for bit and of the same dtype."""
+    assert got.method == expected.method
+    assert got.hurst == expected.hurst
+    assert got.fit == expected.fit
+    assert got.warnings == expected.warnings
+    for name in ("scales", "statistics"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name

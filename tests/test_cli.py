@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hurstlab.cli import main
+from hurstlab.cli import MAX_EXPECTED_RS_N, MAX_EXPECTED_RS_ROWS, main
 from hurstlab.sampling import ExponentialSpec, derive_stream, exponential_sample
 
 
@@ -120,6 +120,10 @@ def _no_cell_may_run(*args, **kwargs):
     raise AssertionError("a cell ran despite invalid input")
 
 
+def _no_row_may_run(n):
+    raise AssertionError(f"expected_rs({n}) ran despite invalid input")
+
+
 class TestSimulate:
     def test_writes_report_and_plot_data(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -202,6 +206,27 @@ class TestSimulate:
         assert err.startswith("hurstlab: ") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("flag, values", [
+        ("--lambdas", ["1", "1.0"]),
+        ("--sizes", ["128", "64", "128"]),
+        ("--iteration-counts", ["5", "5"]),
+    ])
+    def test_repeated_grid_value_exits_2(self, tmp_path, capsys, monkeypatch, flag,
+                                         values):
+        # the report keys cells by their coordinates: a repeated cell would
+        # silently replace the other in the CSV and plot-data files
+        monkeypatch.setattr("hurstlab.montecarlo.run_cell", _no_cell_may_run)
+        args = {"--lambdas": ["0.5"], "--sizes": ["64"], "--iteration-counts": ["3"]}
+        args[flag] = values
+        argv = ["simulate", "--out", str(tmp_path / "r.json")]
+        for name, texts in args.items():
+            argv += [name, *texts]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"hurstlab: {flag[2:].replace('-', '_')} repeats a value")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("hurstlab.montecarlo.run_cell", _no_cell_may_run)
         assert main([
@@ -254,3 +279,26 @@ class TestExpectedRs:
         assert main(["expected-rs", "1"]) == 2
         assert main(["expected-rs", "notanumber"]) == 2
         assert main(["expected-rs", "10..4"]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        (str(MAX_EXPECTED_RS_N + 1), "above the limit of"),
+        ("99999999999", "above the limit of"),
+        ("2..100000000", "above the limit of"),
+        (f"2..{MAX_EXPECTED_RS_ROWS + 2}", f"{MAX_EXPECTED_RS_ROWS + 1} rows"),
+    ])
+    def test_limits_exit_2_before_any_row(self, capsys, monkeypatch, text, message):
+        monkeypatch.setattr("hurstlab.cli.expected_rs", _no_row_may_run)
+        assert main(["expected-rs", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hurstlab: invalid n: ")
+        assert message in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
+        str(MAX_EXPECTED_RS_N), f"2..{MAX_EXPECTED_RS_ROWS + 1}",
+    ])
+    def test_limits_are_inclusive(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("hurstlab.cli.expected_rs", lambda n: 1.0)
+        assert main(["expected-rs", text]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == (1 if ".." not in text else MAX_EXPECTED_RS_ROWS)

@@ -73,7 +73,14 @@ class TestEstimateDfa:
         assert result.method == "DFA"
         assert result.hurst == result.fit.slope
         # default policy floor is 2 but DFA enforces its own floor of 4
-        assert [p.scale for p in result.points] == [4, 8, 16, 32, 64]
+        assert result.scales.tolist() == [4, 8, 16, 32, 64]
+
+    def test_points_are_read_only(self, exp_series):
+        result = estimate_dfa(exp_series(128, seed=17))
+        with pytest.raises(ValueError, match="read-only"):
+            result.scales[0] = 3
+        with pytest.raises(ValueError, match="read-only"):
+            result.statistics[0] = 1.0
 
     def test_insufficient_windows(self, exp_series):
         with pytest.raises(InsufficientWindows):

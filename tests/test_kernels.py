@@ -17,6 +17,7 @@ from hurstlab.montecarlo import SimulationCell, mse, run_cell
 from hurstlab.rs import estimate_rsal, rsal_batch
 from hurstlab.sampling import ExponentialSpec, derive_stream, exponential_sample
 from hurstlab.vtp import estimate_vtp, vtp_batch
+from oracles import assert_results_equal
 
 POLICIES = (DEFAULT_POLICY, WindowPolicy(min_window=4, max_window_rule="full-N"))
 
@@ -41,10 +42,11 @@ def test_batch_rows_equal_single_series_estimates(n_obs, rows, seed, sd_mode, po
     dfa = dfa_batch(x, policy)
     vtp = vtp_batch(x, divisors_only=divisors_only)
     for k in range(rows):
-        assert rsal.result(k) == estimate_rsal(x[k], policy, sd_mode)
+        assert_results_equal(rsal.result(k), estimate_rsal(x[k], policy, sd_mode))
         single_dfa = estimate_dfa(x[k], policy)
-        assert dfa.result(k, warnings=single_dfa.warnings) == single_dfa
-        assert vtp.result(k) == estimate_vtp(x[k], divisors_only=divisors_only)
+        assert_results_equal(dfa.result(k, warnings=single_dfa.warnings), single_dfa)
+        assert_results_equal(vtp.result(k),
+                             estimate_vtp(x[k], divisors_only=divisors_only))
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurstlab.base import EstimatorResult, ScalePoint
+from hurstlab.base import EstimatorResult
 from hurstlab.dfa import estimate_dfa
 from hurstlab.errors import SeriesParseError
 from hurstlab.montecarlo import make_grid, run_grid
 from hurstlab.regression import RegressionFit
 from hurstlab.report import (
+    estimates_to_csv,
     estimates_to_json,
     plot_data_files,
     read_series_file,
@@ -22,7 +23,13 @@ from hurstlab.report import (
 )
 from hurstlab.rs import estimate_rsal
 from hurstlab.vtp import estimate_vtp
-from oracles import ReferenceParseError, estimates_json_reference, read_series_reference
+from oracles import (
+    ReferenceParseError,
+    estimates_csv_reference,
+    estimates_json_reference,
+    first_difference,
+    read_series_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +194,12 @@ class TestPlotData:
         assert [ln.split(",")[0] for ln in lines[1:]] == ["0.1", "1.5"]
 
 
+def _real_estimates(exp_series, n_obs: int) -> list[EstimatorResult]:
+    series = exp_series(n_obs, lam=0.5, seed=n_obs)
+    return [estimate_rsal(series), estimate_dfa(series), estimate_vtp(series),
+            estimate_vtp(series, divisors_only=True)]
+
+
 class TestEstimatesJson:
     """The hand-rendered estimate document against json.dumps(indent=2)."""
 
@@ -195,11 +208,10 @@ class TestEstimatesJson:
 
     @pytest.mark.parametrize("n_obs", [2048, 6008, 32768])
     def test_real_estimates(self, exp_series, n_obs):
-        series = exp_series(n_obs, lam=0.5, seed=n_obs)
-        results = [estimate_rsal(series), estimate_dfa(series), estimate_vtp(series),
-                   estimate_vtp(series, divisors_only=True)]
+        results = _real_estimates(exp_series, n_obs)
         args = (results, f"runs/series_{n_obs}.txt", n_obs, self.OPTIONS)
-        assert estimates_to_json(*args) == estimates_json_reference(*args)
+        got = estimates_to_json(*args)
+        assert first_difference(got, estimates_json_reference(*args)) is None
 
     def test_no_results(self):
         args = ([], "empty.txt", 0, {})
@@ -216,12 +228,13 @@ _TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=1
 
 @st.composite
 def _estimate_results(draw) -> EstimatorResult:
-    points = draw(st.lists(st.builds(ScalePoint, st.integers(1, 10**6), _STATISTIC),
-                           max_size=12))
+    scales = draw(st.lists(st.integers(1, 10**6), max_size=12))
+    statistics = draw(st.lists(_STATISTIC, min_size=len(scales), max_size=len(scales)))
     fit = RegressionFit(slope=draw(_STATISTIC), intercept=draw(st.floats()),
-                        n_points=len(points), residual_rms=draw(st.floats()))
+                        residual_rms=draw(st.floats()))
     return EstimatorResult(method=draw(_TEXT), hurst=draw(st.floats()), fit=fit,
-                           points=tuple(points),
+                           scales=np.array(scales, dtype=np.int64),
+                           statistics=np.array(statistics, dtype=float),
                            warnings=tuple(draw(st.lists(_TEXT, max_size=2))))
 
 
@@ -236,3 +249,22 @@ def _estimate_results(draw) -> EstimatorResult:
 def test_estimates_json_matches_json_dumps(results, input_path, n_observations, options):
     args = (results, input_path, n_observations, options)
     assert estimates_to_json(*args) == estimates_json_reference(*args)
+
+
+class TestEstimatesCsv:
+    """The estimate table against the per-point reference writer."""
+
+    @pytest.mark.parametrize("n_obs", [2048, 6008, 32768])
+    def test_real_estimates(self, exp_series, n_obs):
+        results = _real_estimates(exp_series, n_obs)
+        got = estimates_to_csv(results)
+        assert first_difference(got, estimates_csv_reference(results)) is None
+
+    def test_no_results(self):
+        assert estimates_to_csv([]) == estimates_csv_reference([])
+
+
+@settings(max_examples=200, deadline=None)
+@given(results=st.lists(_estimate_results(), max_size=3))
+def test_estimates_csv_matches_reference(results):
+    assert estimates_to_csv(results) == estimates_csv_reference(results)

@@ -122,7 +122,7 @@ class TestAdjustRsPoints:
             lambda x, windows, sd_mode: np.array([[expected_rs(n) for n in windows]]),
         )
         result = estimate_rsal(np.arange(128.0))
-        assert [p.scale for p in result.points] == [2, 4, 8, 16, 32, 64]
+        assert result.scales.tolist() == [2, 4, 8, 16, 32, 64]
         assert result.fit.slope == pytest.approx(0.5, abs=1e-12)
         assert result.fit.residual_rms < 1e-12
 
@@ -147,8 +147,16 @@ class TestEstimators:
         result = estimate_rsal(series)
         assert result.method == "RSAL"
         assert result.hurst == result.fit.slope
-        assert [p.scale for p in result.points] == [2, 4, 8, 16, 32, 64]
+        assert result.scales.tolist() == [2, 4, 8, 16, 32, 64]
         assert result.warnings == ()
+
+    @pytest.mark.parametrize("estimate", [estimate_rs, estimate_rsal])
+    def test_points_are_read_only(self, exp_series, estimate):
+        result = estimate(exp_series(128, seed=5))
+        with pytest.raises(ValueError, match="read-only"):
+            result.scales[0] = 3
+        with pytest.raises(ValueError, match="read-only"):
+            result.statistics[0] = 1.0
 
     def test_scale_invariance(self, exp_series):
         series = exp_series(256, seed=6)

@@ -3,7 +3,12 @@ import pytest
 
 from hurstlab.errors import InsufficientScales, ScaleTooLarge, ZeroVariance
 from hurstlab.vtp import _default_ws, _gather_plan, estimate_vtp, scale_variances
-from oracles import aggregated_variance_reference, gather_plan_reference, vtp_mean_shift
+from oracles import (
+    aggregated_variance_reference,
+    assert_results_equal,
+    gather_plan_reference,
+    vtp_mean_shift,
+)
 
 
 def _var(values, ws):
@@ -115,10 +120,10 @@ class TestEstimateVtp:
     def test_vectorized_matches_per_scale_op(self, exp_series):
         series = exp_series(100, seed=42)  # non-power-of-two: non-divisor scales
         result = estimate_vtp(series)
-        assert [p.scale for p in result.points] == list(range(1, 26))
-        for point in result.points:
-            assert point.statistic == pytest.approx(
-                aggregated_variance_reference(series, point.scale), rel=1e-12
+        assert result.scales.tolist() == list(range(1, 26))
+        for w, statistic in zip(result.scales, result.statistics):
+            assert statistic == pytest.approx(
+                aggregated_variance_reference(series, w), rel=1e-12
             )
 
     def test_result_structure(self, exp_series):
@@ -127,13 +132,20 @@ class TestEstimateVtp:
         beta = -result.fit.slope
         assert result.hurst == pytest.approx(1.0 - beta / 2.0, abs=1e-15)
 
+    def test_points_are_read_only(self, exp_series):
+        result = estimate_vtp(exp_series(128, seed=43))
+        with pytest.raises(ValueError, match="read-only"):
+            result.scales[0] = 3
+        with pytest.raises(ValueError, match="read-only"):
+            result.statistics[0] = 1.0
+
     def test_explicit_scales(self, exp_series):
         series = exp_series(64, seed=44)
         result = estimate_vtp(series, scales=np.array([1, 2, 4, 8]))
-        assert [p.scale for p in result.points] == [1, 2, 4, 8]
-        assert all(type(p.scale) is int for p in result.points)
+        assert result.scales.tolist() == [1, 2, 4, 8]
+        assert result.scales.dtype == np.int64
         plain = estimate_vtp(series, scales=[1, 2, 4, 8])
-        assert plain == result
+        assert_results_equal(plain, result)
 
     def test_non_integer_scale_rejected(self, exp_series):
         # no block holds 2.5 observations: taking it would fit the variance
