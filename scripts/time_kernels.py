@@ -1,0 +1,65 @@
+"""Microseconds per series of the batched R/Sal and DFA kernels.
+
+Usage, from anywhere:
+
+    python3 scripts/time_kernels.py --root CHECKOUT --seed 1 --calls 200
+
+Imports hurstlab from ``CHECKOUT/src`` only, so two checkouts can be timed
+with one copy of this script. For N = 128 and N = 1024 it draws one chunk
+of exponential series, as many rows as ``montecarlo.chunk_rows`` gives a
+simulation cell of that length, and times ``rsal_batch`` and ``dfa_batch``
+on it after one warm-up call. It prints one JSON line with the median call
+time divided by the row count. The perfbench tracer does not wrap these
+kernels, so their per-layer rows are timed here.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+from pathlib import Path
+
+LENGTHS = (128, 1024)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--root", type=Path, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--calls", type=int, default=200)
+    args = parser.parse_args()
+    # One BLAS thread and one CPU, as perfbench/run.py times its workloads.
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[name] = "1"
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    sys.path.insert(0, str(args.root.resolve() / "src"))
+    import numpy as np
+
+    from hurstlab.dfa import dfa_batch
+    from hurstlab.montecarlo import chunk_rows
+    from hurstlab.rs import rsal_batch
+
+    rng = np.random.default_rng(args.seed)
+    rows, us_per_series = {}, {}
+    for n_obs in LENGTHS:
+        rows[n_obs] = chunk_rows(n_obs)
+        x = rng.exponential(size=(rows[n_obs], n_obs))
+        for kernel in (rsal_batch, dfa_batch):
+            kernel(x)
+            times = []
+            for _ in range(args.calls):
+                start = time.perf_counter()
+                kernel(x)
+                times.append(time.perf_counter() - start)
+            us = float(np.median(times)) / rows[n_obs] * 1e6
+            us_per_series[f"{kernel.__name__}.N{n_obs}.us_per_series"] = us
+    print(json.dumps({"numpy": np.__version__, "seed": args.seed, "rows": rows,
+                      "calls": args.calls, "metrics": us_per_series}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

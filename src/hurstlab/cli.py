@@ -56,6 +56,9 @@ MIN_CLI_OBSERVATIONS = 16
 # expected-rs rows cost O(n) time and memory; the library function is unbounded.
 MAX_EXPECTED_RS_N = 10**6
 MAX_EXPECTED_RS_ROWS = 1000
+# simulate builds a cell's VTP gather plan, which grows as N log N, before
+# its first draw; at this length the plan takes about 20 ms and 22 MiB.
+MAX_SIMULATE_SIZE = 65536
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -194,6 +197,9 @@ def cmd_simulate(args) -> int:
         cells = make_grid(args.lambdas, args.sizes, args.iteration_counts)
     except ValueError as exc:
         raise _InputError(str(exc)) from None
+    too_long = [size for size in args.sizes if size > MAX_SIMULATE_SIZE]
+    if too_long:
+        raise _InputError(f"size {too_long[0]} is above the limit of {MAX_SIMULATE_SIZE}")
     report = run_grid(
         cells, seed, policy,
         sd_mode=args.sd_mode,

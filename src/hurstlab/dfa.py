@@ -27,7 +27,7 @@ from .base import (
     loglog_fits,
 )
 from .errors import WindowTooSmall, ZeroFluctuation
-from .regression import fit_rows
+from .regression import COLUMN_PATH_MAX, fit_columns, fit_rows
 from .series import as_series, segment_matrix
 
 __all__ = [
@@ -44,11 +44,18 @@ DFA_MIN_WINDOW = 4
 
 def _fluctuations(seg: np.ndarray) -> np.ndarray:
     """RMS residual of each subseries' cumulative profile about its OLS line,
-    for every subseries along the last axis."""
+    for every subseries along the last axis. Windows of up to
+    COLUMN_PATH_MAX values cumulate and fit their profiles column by column."""
     n = seg.shape[-1]
     if n < 3:
         raise WindowTooSmall(f"DFA needs n >= 3, got {n}")
-    return fit_rows(np.arange(1.0, n + 1.0), np.cumsum(seg, axis=-1))[2]
+    t = np.arange(1.0, n + 1.0)
+    if n > COLUMN_PATH_MAX:
+        return fit_rows(t, np.cumsum(seg, axis=-1))[2]
+    profile = [seg[..., 0]]
+    for i in range(1, n):
+        profile.append(profile[-1] + seg[..., i])
+    return fit_columns(t, profile)[2]
 
 
 def dfa_fluctuations(x: np.ndarray, windows) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Ordinary least-squares line fitting.
+"""Ordinary least-squares line fitting, and the column sums of short windows.
 
 One implementation serves every line fit in this package: the log-log slope
 regressions that produce the Hurst estimates, and the within-window linear
@@ -11,6 +11,23 @@ that show up at N = 1024.
 Means here and in the estimator kernels are written as ``sum / n``: the
 same arithmetic as ``ndarray.mean``, without its per-call Python overhead,
 which a simulation cell would pay thousands of times.
+
+Short windows run column by column. A numpy reduction along a last axis
+only a few values long pays a loop set-up per row, which dominates the
+kernels at the shortest windows (n = 2, 4, 8) and in log-log fits of a
+handful of scales. Up to :data:`COLUMN_PATH_MAX` values, the kernels
+instead apply elementwise operations to the column views ``a[..., i]``,
+and :func:`column_sum` adds them. The bytes of every estimate hold only
+because the column sum keeps numpy's own order: ``ndarray.sum`` adds fewer
+than 8 values one after another, and from 8 values on it keeps 8 partial
+sums combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``. At exactly 8
+each partial sum is one value, so that tree is the whole sum. Beyond 8 the
+partial sums would have to be mirrored as well, and a Python loop over
+that many columns is slower than the reduction, so longer windows stay on
+the axis path. numpy also starts from its identity +0.0, so a sum of -0.0
+terms is +0.0; the column sum adds 0.0 last to match. A numpy release
+that changed this order would fail the tests that pin it rather than move
+an estimate's low bits.
 """
 
 from __future__ import annotations
@@ -23,6 +40,9 @@ from .errors import DegenerateDesign
 
 __all__ = ["RegressionFit", "fit_rows"]
 
+#: Longest window, or fit, that the kernels compute column by column.
+COLUMN_PATH_MAX = 8
+
 
 @dataclass(frozen=True)
 class RegressionFit:
@@ -33,15 +53,23 @@ class RegressionFit:
     residual_rms: float
 
 
-def fit_rows(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares lines of every row of *y* against the shared abscissae *x*.
+def column_sum(cols):
+    """Sum of 2 to 8 equal-shape arrays, bit for bit ``np.stack(cols,
+    axis=-1).sum(axis=-1)`` (see the module docstring for the order)."""
+    if len(cols) == 8:
+        total = ((cols[0] + cols[1]) + (cols[2] + cols[3])) + \
+                ((cols[4] + cols[5]) + (cols[6] + cols[7]))
+    else:
+        total = cols[0] + cols[1]
+        for col in cols[2:]:
+            total += col
+    total += 0.0
+    return total
 
-    *x* has shape (m,) and *y* shape (..., m). Returns (slope, intercept,
-    residual_rms), each of shape ``y.shape[:-1]``. Every reduction runs
-    along the last axis, so a row's fit is the same to the bit whatever
-    other rows share the batch; a NaN in a row makes that row's fit NaN.
-    Raises DegenerateDesign when m < 2 or all x coincide.
-    """
+
+def _abscissae(x) -> tuple[float, np.ndarray, float]:
+    """(x_bar, x - x_bar, Sxx) of the shared abscissae; raises
+    DegenerateDesign when there are fewer than 2 or all coincide."""
     x = np.asarray(x, dtype=float)
     m = x.shape[0]
     if m < 2:
@@ -51,6 +79,40 @@ def fit_rows(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sxx = float((xc * xc).sum())
     if sxx == 0.0:
         raise DegenerateDesign("all x values are identical")
+    return x_bar, xc, sxx
+
+
+def fit_rows(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares lines of every row of *y* against the shared abscissae *x*.
+
+    *x* has shape (m,) and *y* shape (..., m). Returns (slope, intercept,
+    residual_rms), each of shape ``y.shape[:-1]``. Every sum runs over
+    one row's values in numpy's order, so a row's fit is the same to the
+    bit whatever other rows share the batch; a NaN in a row makes that
+    row's fit NaN. Raises DegenerateDesign when m < 2 or all x coincide.
+    """
+    m = y.shape[-1]
+    if m <= COLUMN_PATH_MAX:
+        return fit_columns(x, [y[..., i] for i in range(m)])
+    return _fit_along_axis(x, y)
+
+
+def fit_columns(x, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`fit_rows` of the m <= 8 columns ``y[..., i]``, given as a list."""
+    x_bar, xc, sxx = _abscissae(x)
+    m = len(cols)
+    y_bar = column_sum(cols) / m
+    yc = [col - y_bar for col in cols]
+    slope = column_sum([c * xi for c, xi in zip(yc, xc, strict=True)]) / sxx
+    residuals = [c - slope * xi for c, xi in zip(yc, xc)]
+    residual_rms = np.sqrt(column_sum([r * r for r in residuals]) / m)
+    return slope, y_bar - slope * x_bar, residual_rms
+
+
+def _fit_along_axis(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`fit_rows` with every sum reduced along the last axis."""
+    x_bar, xc, sxx = _abscissae(x)
+    m = xc.shape[0]
     y_bar = y.sum(axis=-1) / m
     yc = y - y_bar[..., None]
     slope = (yc * xc).sum(axis=-1) / sxx

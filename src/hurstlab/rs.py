@@ -34,6 +34,7 @@ from .base import (
     loglog_fits,
 )
 from .errors import AllSubseriesDegenerate, InvalidWindow, NonPositiveStatistic
+from .regression import COLUMN_PATH_MAX, column_sum
 from .series import _ddof, as_series, segment_matrix
 
 __all__ = [
@@ -47,7 +48,28 @@ __all__ = [
 
 def _rescaled_ranges(seg: np.ndarray, ddof: int) -> tuple[np.ndarray, np.ndarray]:
     """R/S of every subseries along the last axis, and whether its SD is
-    nonzero; the R/S of a zero-SD (degenerate) subseries is set to 0."""
+    nonzero; the R/S of a zero-SD (degenerate) subseries is set to 0.
+    Windows of up to COLUMN_PATH_MAX values run as elementwise operations
+    over their columns ``seg[..., i]``, with every sum in numpy's order."""
+    n = seg.shape[-1]
+    if n > COLUMN_PATH_MAX:
+        return _rescaled_ranges_along_axis(seg, ddof)
+    cols = [seg[..., i] for i in range(n)]
+    mean = column_sum(cols) / n
+    centred = [col - mean for col in cols]
+    sd = np.sqrt(column_sum([c * c for c in centred]) / (n - ddof))
+    profile = hi = lo = centred[0]
+    for c in centred[1:]:
+        profile = profile + c
+        hi = np.maximum(hi, profile)
+        lo = np.minimum(lo, profile)
+    ranges = hi - lo
+    ok = sd > 0.0
+    return np.divide(ranges, sd, out=np.zeros_like(ranges), where=ok), ok
+
+
+def _rescaled_ranges_along_axis(seg: np.ndarray, ddof: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_rescaled_ranges` by reductions along the last axis."""
     n = seg.shape[-1]
     centred = seg - seg.sum(axis=-1, keepdims=True) / n
     sd = np.sqrt((centred * centred).sum(axis=-1) / (n - ddof))

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hurstlab.cli import MAX_EXPECTED_RS_N, MAX_EXPECTED_RS_ROWS, main
+from hurstlab.cli import MAX_EXPECTED_RS_N, MAX_EXPECTED_RS_ROWS, MAX_SIMULATE_SIZE, main
 from hurstlab.sampling import ExponentialSpec, derive_stream, exponential_sample
 
 
@@ -124,6 +124,14 @@ def _no_row_may_run(n):
     raise AssertionError(f"expected_rs({n}) ran despite invalid input")
 
 
+def _no_plan_may_build(length, *args):
+    raise AssertionError(f"a gather plan for N={length} was built despite invalid input")
+
+
+class _GridReached(Exception):
+    pass
+
+
 class TestSimulate:
     def test_writes_report_and_plot_data(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -226,6 +234,28 @@ class TestSimulate:
         assert err.startswith(f"hurstlab: {flag[2:].replace('-', '_')} repeats a value")
         assert err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("size", [MAX_SIMULATE_SIZE + 1, 10**9])
+    def test_size_limit_exits_2_before_any_plan(self, tmp_path, capsys, monkeypatch, size):
+        # a cell builds its VTP gather plan, N log N indices, before any draw
+        monkeypatch.setattr("hurstlab.montecarlo.chunk_rows", _no_plan_may_build)
+        assert main([
+            "simulate", "--lambdas", "0.5", "--sizes", "64", str(size),
+            "--iteration-counts", "3", "--out", str(tmp_path / "r.json"),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"hurstlab: size {size} is above the limit of {MAX_SIMULATE_SIZE}\n")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_size_limit_is_inclusive(self, tmp_path, monkeypatch):
+        def reached(cells, *args, **kwargs):
+            raise _GridReached(cells)
+
+        monkeypatch.setattr("hurstlab.cli.run_grid", reached)
+        with pytest.raises(_GridReached) as grid:
+            main(["simulate", "--lambdas", "0.5", "--sizes", str(MAX_SIMULATE_SIZE),
+                  "--iteration-counts", "3", "--out", str(tmp_path / "r.json")])
+        assert [cell.length for cell in grid.value.args[0]] == [MAX_SIMULATE_SIZE]
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("hurstlab.montecarlo.run_cell", _no_cell_may_run)

@@ -12,31 +12,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurstlab.base import DEFAULT_POLICY, WindowPolicy
-from hurstlab.dfa import dfa_batch, estimate_dfa
+from hurstlab.dfa import _fluctuations, dfa_batch, estimate_dfa
 from hurstlab.montecarlo import SimulationCell, mse, run_cell
-from hurstlab.rs import estimate_rsal, rsal_batch
+from hurstlab.regression import COLUMN_PATH_MAX, _fit_along_axis, fit_columns
+from hurstlab.rs import (
+    _rescaled_ranges,
+    _rescaled_ranges_along_axis,
+    estimate_rsal,
+    rsal_batch,
+)
 from hurstlab.sampling import ExponentialSpec, derive_stream, exponential_sample
 from hurstlab.vtp import estimate_vtp, vtp_batch
 from oracles import assert_results_equal
 
 POLICIES = (DEFAULT_POLICY, WindowPolicy(min_window=4, max_window_rule="full-N"))
+# Lengths the default policy can estimate, each with every policy; and short
+# series under full-N, whose last window is the whole series.
+CASES = st.one_of(
+    st.tuples(st.sampled_from([48, 96, 100, 128, 256]), st.sampled_from(POLICIES)),
+    st.tuples(st.sampled_from([8, 16]), st.just(POLICIES[1])),
+)
 
 
 def _matrix(seed: int, rows: int, n_obs: int) -> np.ndarray:
     return np.random.default_rng(seed).exponential(size=(rows, n_obs))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(
-    n_obs=st.sampled_from([48, 96, 100, 128, 256]),
+    case=CASES,
     rows=st.integers(1, 9),
     seed=st.integers(0, 2**32 - 1),
     sd_mode=st.sampled_from(["population", "sample"]),
-    policy=st.sampled_from(POLICIES),
     divisors_only=st.booleans(),
 )
-def test_batch_rows_equal_single_series_estimates(n_obs, rows, seed, sd_mode, policy,
-                                                  divisors_only):
+def test_batch_rows_equal_single_series_estimates(case, rows, seed, sd_mode, divisors_only):
+    n_obs, policy = case
     x = _matrix(seed, rows, n_obs)
     rsal = rsal_batch(x, policy, sd_mode)
     dfa = dfa_batch(x, policy)
@@ -47,6 +58,48 @@ def test_batch_rows_equal_single_series_estimates(n_obs, rows, seed, sd_mode, po
         assert_results_equal(dfa.result(k, warnings=single_dfa.warnings), single_dfa)
         assert_results_equal(vtp.result(k),
                              estimate_vtp(x[k], divisors_only=divisors_only))
+
+
+def _subseries(seed: int, rows: int, d: int, n: int) -> np.ndarray:
+    """(rows, d, n) subseries of mixed magnitude, among them constant ones
+    (zero SD, -0.0 included), affine ones, and ones whose DFA profile is
+    affine (zero fluctuation)."""
+    rng = np.random.default_rng(seed)
+    seg = rng.exponential(size=(rows, d, n)) * 10.0 ** rng.integers(-3, 7, (rows, d, 1))
+    kind = rng.integers(0, 5, (rows, d))
+    seg[kind == 1] = rng.choice([0.0, -0.0, 2.5, -7e5], ((kind == 1).sum(), 1))
+    intercept, slope = rng.normal(size=(2, (kind == 2).sum(), 1)) * 100.0
+    seg[kind == 2] = intercept + slope * np.arange(n)
+    seg[kind == 3, 1:] = rng.normal(size=((kind == 3).sum(), 1))
+    return seg
+
+
+def _assert_bits_equal(got, want) -> None:
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 70),
+    d=st.integers(1, 12),
+    n=st.integers(2, COLUMN_PATH_MAX),
+)
+def test_column_paths_equal_axis_paths(seed, rows, d, n):
+    # windows of up to COLUMN_PATH_MAX values take the column paths; the
+    # axis paths, which every longer window runs, are the reference
+    seg = _subseries(seed, rows, d, n)
+    for ddof in (0, 1):
+        _assert_bits_equal(_rescaled_ranges(seg, ddof), _rescaled_ranges_along_axis(seg, ddof))
+    t = np.arange(1.0, n + 1.0)
+    if n >= 3:
+        _assert_bits_equal([_fluctuations(seg)],
+                           [_fit_along_axis(t, np.cumsum(seg, axis=-1))[2]])
+    for x in (t, np.log(t + 1.0)):
+        _assert_bits_equal(fit_columns(x, [seg[..., i] for i in range(n)]),
+                           _fit_along_axis(x, seg))
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hurstlab.errors import DegenerateDesign
-from hurstlab.regression import fit_rows
+from hurstlab.regression import COLUMN_PATH_MAX, column_sum, fit_rows
 
 
 def _fit(x, y):
@@ -124,3 +127,19 @@ class TestFitLineToProfile:
         slope, intercept, _ = _fit_profile([4.0, 4.5, 6.0, 5.5])
         assert slope == pytest.approx(0.6, abs=1e-12)
         assert intercept == pytest.approx(3.5, abs=1e-12)
+
+
+# Values from 1e-3 to 1e6 in magnitude, either sign, and signed zeros: a
+# sum of such values changes its low bits with the order of the additions.
+_MIXED = st.one_of(
+    st.floats(1e-3, 1e6), st.floats(-1e6, -1e-3), st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, COLUMN_PATH_MAX).flatmap(lambda m: hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 30), st.just(m)), elements=_MIXED)))
+def test_column_sum_is_numpy_sum(rows):
+    # the column paths of the kernels keep every byte of an estimate only
+    # while this holds; a numpy release that reorders its sum fails here
+    got = column_sum([rows[:, i] for i in range(rows.shape[1])])
+    assert got.tobytes() == rows.sum(axis=-1).tobytes()
