@@ -4,7 +4,8 @@ Every estimator has one implementation, which fits a (rows, N) matrix of
 series at once; ``estimate_*`` runs it on one row. These tests require each
 row of a batch to come out bit for bit as the same series estimated alone,
 which is what keeps a Monte Carlo report independent of how its cells are
-chunked.
+chunked. Windows and fits of up to COLUMN_PATH_MAX values run column by
+column; they must equal the reductions along the last axis bit for bit.
 """
 
 import numpy as np
