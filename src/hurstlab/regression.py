@@ -98,7 +98,8 @@ def fit_rows(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def fit_columns(x, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`fit_rows` of the m <= 8 columns ``y[..., i]``, given as a list."""
+    """:func:`fit_rows` of the m <= 8 columns ``y[..., i]``, given as a list.
+    Raises ValueError when *x* and *cols* differ in length."""
     x_bar, xc, sxx = _abscissae(x)
     m = len(cols)
     y_bar = column_sum(cols) / m
