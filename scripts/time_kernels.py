@@ -1,4 +1,4 @@
-"""Microseconds per series of the batched R/Sal and DFA kernels.
+"""Microseconds per series of the batched R/Sal, DFA and VTP kernels.
 
 Usage, from anywhere:
 
@@ -7,10 +7,11 @@ Usage, from anywhere:
 Imports hurstlab from ``CHECKOUT/src`` only, so two checkouts can be timed
 with one copy of this script. For N = 128 and N = 1024 it draws one chunk
 of exponential series, as many rows as ``montecarlo.chunk_rows`` gives a
-simulation cell of that length, and times ``rsal_batch`` and ``dfa_batch``
-on it after one warm-up call. It prints one JSON line with the median call
-time divided by the row count. The perfbench tracer does not wrap these
-kernels, so their per-layer rows are timed here.
+simulation cell of that length, and times ``rsal_batch``, ``dfa_batch`` and
+``vtp_batch`` on it after one warm-up call. It prints the rows per chunk of
+each length on stderr, and on stdout one JSON line with those rows and the
+median call time divided by the row count. The perfbench tracer does not
+wrap these kernels, so their per-layer rows are timed here.
 """
 
 from __future__ import annotations
@@ -41,13 +42,15 @@ def main() -> int:
     from hurstlab.dfa import dfa_batch
     from hurstlab.montecarlo import chunk_rows
     from hurstlab.rs import rsal_batch
+    from hurstlab.vtp import vtp_batch
 
     rng = np.random.default_rng(args.seed)
     rows, us_per_series = {}, {}
     for n_obs in LENGTHS:
         rows[n_obs] = chunk_rows(n_obs)
+        print(f"N = {n_obs}: {rows[n_obs]} rows per chunk", file=sys.stderr)
         x = rng.exponential(size=(rows[n_obs], n_obs))
-        for kernel in (rsal_batch, dfa_batch):
+        for kernel in (rsal_batch, dfa_batch, vtp_batch):
             kernel(x)
             times = []
             for _ in range(args.calls):

@@ -56,9 +56,12 @@ MIN_CLI_OBSERVATIONS = 16
 # expected-rs rows cost O(n) time and memory; the library function is unbounded.
 MAX_EXPECTED_RS_N = 10**6
 MAX_EXPECTED_RS_ROWS = 1000
-# simulate builds a cell's VTP gather plan, which grows as N log N, before
-# its first draw; at this length the plan takes about 20 ms and 22 MiB.
+# simulate builds a cell's VTP gather plan, which grows as N log N, at the
+# cell's first VTP batch; at this length the plan takes about 20 ms and 22 MiB.
 MAX_SIMULATE_SIZE = 65536
+# A cell holds three float64 estimates per iteration (24 MB at this count)
+# and takes about 100 s at N = 128; far larger counts fail to allocate.
+MAX_SIMULATE_ITERATIONS = 10**6
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -200,6 +203,10 @@ def cmd_simulate(args) -> int:
     too_long = [size for size in args.sizes if size > MAX_SIMULATE_SIZE]
     if too_long:
         raise _InputError(f"size {too_long[0]} is above the limit of {MAX_SIMULATE_SIZE}")
+    too_many = [n for n in args.iteration_counts if n > MAX_SIMULATE_ITERATIONS]
+    if too_many:
+        raise _InputError(f"iteration count {too_many[0]} is above the limit of "
+                          f"{MAX_SIMULATE_ITERATIONS}")
     report = run_grid(
         cells, seed, policy,
         sd_mode=args.sd_mode,

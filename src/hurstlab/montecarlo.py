@@ -32,7 +32,7 @@ from .dfa import dfa_batch
 from .errors import CellFailed, EmptyEstimates, HurstLabError
 from .rs import rsal_batch
 from .sampling import GENERATOR_NAME, ExponentialSpec, derive_stream, exponential_sample
-from .vtp import block_count, vtp_batch
+from .vtp import vtp_batch
 
 __all__ = [
     "TRUE_HURST",
@@ -60,10 +60,12 @@ DEFAULT_LAMBDAS = (0.1, 0.5, 1.5, 3.0, 5.0, 7.0)
 DEFAULT_SIZES = (128, 256, 512, 1024)
 DEFAULT_ITERATION_COUNTS = (100, 500, 1000)
 
-# Working-set budget of one chunk, in float64 values (256 KiB): a chunk has
-# as many rows as fit in it with VTP's block means, the widest per-row
-# array, so memory stays flat however many iterations a cell has.
-CHUNK_ELEMENTS = 32 * 1024
+# Series values per chunk: a chunk has CHUNK_ELEMENTS // N rows, at least
+# one, so memory stays flat however many iterations a cell has. The widest
+# per-row array is VTP's block means, about N * (ln(N/4) + 0.58) values, so
+# a chunk's working set is about CHUNK_ELEMENTS * (ln(N/4) + 0.58) float64
+# values, 1.2 MB at N = 16384; a longer series is a chunk of its own.
+CHUNK_ELEMENTS = 16 * 1024
 
 
 @dataclass(frozen=True)
@@ -142,13 +144,9 @@ def make_grid(lambdas=DEFAULT_LAMBDAS, sizes=DEFAULT_SIZES,
     ]
 
 
-def chunk_rows(length: int, vtp_divisors_only: bool = False) -> int:
-    """Rows per chunk for series of this length: see CHUNK_ELEMENTS.
-
-    A length below 4 has no VTP blocks; it still gets chunks, and its cell
-    fails like that of any other length the estimators cannot use.
-    """
-    return max(1, CHUNK_ELEMENTS // max(1, block_count(length, vtp_divisors_only)))
+def chunk_rows(length: int) -> int:
+    """Rows per chunk for series of this length: see CHUNK_ELEMENTS."""
+    return max(1, CHUNK_ELEMENTS // length)
 
 
 def run_cell(cell: SimulationCell, master_seed: int,
@@ -167,7 +165,7 @@ def run_cell(cell: SimulationCell, master_seed: int,
         lambda x: vtp_batch(x, divisors_only=vtp_divisors_only),
     )
     estimates = np.full((cell.iterations, len(METHODS)), np.nan)
-    step = chunk_rows(cell.length, vtp_divisors_only)
+    step = chunk_rows(cell.length)
     for start in range(0, cell.iterations, step):
         stop = min(start + step, cell.iterations)
         x = np.stack([

@@ -14,20 +14,21 @@ which a simulation cell would pay thousands of times.
 
 Short windows run column by column. A numpy reduction along a last axis
 only a few values long pays a loop set-up per row, which dominates the
-kernels at the shortest windows (n = 2, 4, 8) and in log-log fits of a
-handful of scales. Up to :data:`COLUMN_PATH_MAX` values, the kernels
-instead apply elementwise operations to the column views ``a[..., i]``,
-and :func:`column_sum` adds them. The bytes of every estimate hold only
-because the column sum keeps numpy's own order: ``ndarray.sum`` adds fewer
-than 8 values one after another, and from 8 values on it keeps 8 partial
-sums combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``. At exactly 8
-each partial sum is one value, so that tree is the whole sum. Beyond 8 the
-partial sums would have to be mirrored as well, and a Python loop over
-that many columns is slower than the reduction, so longer windows stay on
-the axis path. numpy also starts from its identity +0.0, so a sum of -0.0
-terms is +0.0; the column sum adds 0.0 last to match. A numpy release
-that changed this order would fail the tests that pin it rather than move
-an estimate's low bits.
+kernels at the shortest windows (n = 2, 4, 8). Up to :data:`COLUMN_PATH_MAX`
+values, the kernels instead apply elementwise operations to the column views
+``a[..., i]``, and :func:`column_sum` adds them; :func:`fit_columns` is DFA's
+line fit of such a window. A log-log fit reduces along its axis whatever its
+length: it runs once per batch, where the column lists cost more than the
+loop set-up they save. The bytes of every estimate hold only because the
+column sum keeps numpy's own order: ``ndarray.sum`` adds fewer than 8 values
+one after another, and from 8 values on it keeps 8 partial sums combined as
+``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``. At exactly 8 each partial sum is
+one value, so that tree is the whole sum. Beyond 8 the partial sums would
+have to be mirrored as well, and a Python loop over that many columns is
+slower than the reduction, so longer windows stay on the axis path. numpy
+also starts from its identity +0.0, so a sum of -0.0 terms is +0.0; the
+column sum adds 0.0 last to match. A numpy release that changed this order
+would fail the tests that pin it rather than move an estimate's low bits.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import DegenerateDesign
 
 __all__ = ["RegressionFit", "fit_rows"]
 
-#: Longest window, or fit, that the kernels compute column by column.
+#: Longest window that the kernels compute column by column.
 COLUMN_PATH_MAX = 8
 
 
@@ -91,14 +92,19 @@ def fit_rows(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bit whatever other rows share the batch; a NaN in a row makes that
     row's fit NaN. Raises DegenerateDesign when m < 2 or all x coincide.
     """
-    m = y.shape[-1]
-    if m <= COLUMN_PATH_MAX:
-        return fit_columns(x, [y[..., i] for i in range(m)])
-    return _fit_along_axis(x, y)
+    x_bar, xc, sxx = _abscissae(x)
+    m = xc.shape[0]
+    y_bar = y.sum(axis=-1) / m
+    yc = y - y_bar[..., None]
+    slope = (yc * xc).sum(axis=-1) / sxx
+    residuals = yc - slope[..., None] * xc
+    residual_rms = np.sqrt((residuals * residuals).sum(axis=-1) / m)
+    return slope, y_bar - slope * x_bar, residual_rms
 
 
 def fit_columns(x, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`fit_rows` of the m <= 8 columns ``y[..., i]``, given as a list.
+    """:func:`fit_rows` of the m <= 8 columns ``y[..., i]``, given as a list:
+    the within-window fit of DFA's short windows, bit for bit the same.
     Raises ValueError when *x* and *cols* differ in length."""
     x_bar, xc, sxx = _abscissae(x)
     m = len(cols)
@@ -107,16 +113,4 @@ def fit_columns(x, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     slope = column_sum([c * xi for c, xi in zip(yc, xc, strict=True)]) / sxx
     residuals = [c - slope * xi for c, xi in zip(yc, xc)]
     residual_rms = np.sqrt(column_sum([r * r for r in residuals]) / m)
-    return slope, y_bar - slope * x_bar, residual_rms
-
-
-def _fit_along_axis(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`fit_rows` with every sum reduced along the last axis."""
-    x_bar, xc, sxx = _abscissae(x)
-    m = xc.shape[0]
-    y_bar = y.sum(axis=-1) / m
-    yc = y - y_bar[..., None]
-    slope = (yc * xc).sum(axis=-1) / sxx
-    residuals = yc - slope[..., None] * xc
-    residual_rms = np.sqrt((residuals * residuals).sum(axis=-1) / m)
     return slope, y_bar - slope * x_bar, residual_rms

@@ -27,7 +27,6 @@ from .errors import InsufficientScales, ScaleTooLarge, ZeroVariance
 from .series import as_series
 
 __all__ = [
-    "block_count",
     "scale_variances",
     "vtp_batch",
     "estimate_vtp",
@@ -77,12 +76,6 @@ def _gather_plan(n_obs: int, ws: tuple[int, ...]):
     block_w = np.repeat(w, nb)
     starts = block_w * (np.arange(block_w.size) - np.repeat(seg_starts, nb))
     return starts, starts + block_w, block_w.astype(float), seg_starts, nb.astype(float)
-
-
-def block_count(n_obs: int, divisors_only: bool = False) -> int:
-    """Number of block means the default scales form for one series: the
-    widest per-series array in the variance computation."""
-    return _gather_plan(n_obs, _default_ws(n_obs, divisors_only))[0].size
 
 
 def scale_variances(x: np.ndarray, ws: tuple[int, ...]) -> np.ndarray:

@@ -26,7 +26,7 @@ from hurstlab import montecarlo
 from hurstlab.dfa import dfa_fluctuations
 from hurstlab.report import report_to_json
 from hurstlab.rs import rs_statistics
-from hurstlab.vtp import block_count, scale_variances
+from hurstlab.vtp import scale_variances
 from oracles import vtp_mean_shift
 
 MASTER_SEED = 42
@@ -216,7 +216,7 @@ def test_criterion_8_determinism_across_chunking(monkeypatch):
     real_run_cell = montecarlo.run_cell
 
     def seven_row_chunks(cell, *args, **kwargs):
-        monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", 7 * block_count(cell.length))
+        monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", 7 * cell.length)
         assert montecarlo.chunk_rows(cell.length) == 7
         return real_run_cell(cell, *args, **kwargs)
 

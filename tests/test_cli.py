@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from hurstlab.cli import MAX_EXPECTED_RS_N, MAX_EXPECTED_RS_ROWS, MAX_SIMULATE_SIZE, main
+from hurstlab.cli import (
+    MAX_EXPECTED_RS_N,
+    MAX_EXPECTED_RS_ROWS,
+    MAX_SIMULATE_ITERATIONS,
+    MAX_SIMULATE_SIZE,
+    main,
+)
 from hurstlab.sampling import ExponentialSpec, derive_stream, exponential_sample
 
 
@@ -124,10 +130,6 @@ def _no_row_may_run(n):
     raise AssertionError(f"expected_rs({n}) ran despite invalid input")
 
 
-def _no_plan_may_build(length, *args):
-    raise AssertionError(f"a gather plan for N={length} was built despite invalid input")
-
-
 class _GridReached(Exception):
     pass
 
@@ -237,8 +239,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("size", [MAX_SIMULATE_SIZE + 1, 10**9])
     def test_size_limit_exits_2_before_any_plan(self, tmp_path, capsys, monkeypatch, size):
-        # a cell builds its VTP gather plan, N log N indices, before any draw
-        monkeypatch.setattr("hurstlab.montecarlo.chunk_rows", _no_plan_may_build)
+        # a cell builds its VTP gather plan, N log N indices, at its first
+        # VTP batch
+        monkeypatch.setattr("hurstlab.montecarlo.run_cell", _no_cell_may_run)
         assert main([
             "simulate", "--lambdas", "0.5", "--sizes", "64", str(size),
             "--iteration-counts", "3", "--out", str(tmp_path / "r.json"),
@@ -256,6 +259,31 @@ class TestSimulate:
             main(["simulate", "--lambdas", "0.5", "--sizes", str(MAX_SIMULATE_SIZE),
                   "--iteration-counts", "3", "--out", str(tmp_path / "r.json")])
         assert [cell.length for cell in grid.value.args[0]] == [MAX_SIMULATE_SIZE]
+
+    @pytest.mark.parametrize("count", [MAX_SIMULATE_ITERATIONS + 1, 10**13])
+    def test_iteration_limit_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch,
+                                                     count):
+        # a cell allocates its estimates, three per iteration, before any draw
+        monkeypatch.setattr("hurstlab.cli.run_grid", _no_cell_may_run)
+        assert main([
+            "simulate", "--lambdas", "0.5", "--sizes", "64",
+            "--iteration-counts", "3", str(count), "--out", str(tmp_path / "r.json"),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"hurstlab: iteration count {count} is above the limit of "
+            f"{MAX_SIMULATE_ITERATIONS}\n")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_iteration_limit_is_inclusive(self, tmp_path, monkeypatch):
+        def reached(cells, *args, **kwargs):
+            raise _GridReached(cells)
+
+        # the stub stands in for the grid: no cell of this size runs here
+        monkeypatch.setattr("hurstlab.cli.run_grid", reached)
+        with pytest.raises(_GridReached) as grid:
+            main(["simulate", "--lambdas", "0.5", "--sizes", "64", "--iteration-counts",
+                  str(MAX_SIMULATE_ITERATIONS), "--out", str(tmp_path / "r.json")])
+        assert [cell.iterations for cell in grid.value.args[0]] == [MAX_SIMULATE_ITERATIONS]
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("hurstlab.montecarlo.run_cell", _no_cell_may_run)

@@ -4,8 +4,9 @@ Every estimator has one implementation, which fits a (rows, N) matrix of
 series at once; ``estimate_*`` runs it on one row. These tests require each
 row of a batch to come out bit for bit as the same series estimated alone,
 which is what keeps a Monte Carlo report independent of how its cells are
-chunked. Windows and fits of up to COLUMN_PATH_MAX values run column by
-column; they must equal the reductions along the last axis bit for bit.
+chunked. Windows of up to COLUMN_PATH_MAX values run column by column, and
+DFA fits their profiles with ``fit_columns``; they must equal the reductions
+along the last axis, ``fit_rows`` among them, bit for bit.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from hurstlab.base import DEFAULT_POLICY, WindowPolicy
 from hurstlab.dfa import _fluctuations, dfa_batch, estimate_dfa
 from hurstlab.montecarlo import SimulationCell, mse, run_cell
-from hurstlab.regression import COLUMN_PATH_MAX, _fit_along_axis, fit_columns
+from hurstlab.regression import COLUMN_PATH_MAX, fit_columns, fit_rows
 from hurstlab.rs import (
     _rescaled_ranges,
     _rescaled_ranges_along_axis,
@@ -90,17 +91,18 @@ def _assert_bits_equal(got, want) -> None:
 )
 def test_column_paths_equal_axis_paths(seed, rows, d, n):
     # windows of up to COLUMN_PATH_MAX values take the column paths; the
-    # axis paths, which every longer window runs, are the reference
+    # axis paths, which longer windows and every log-log fit run, are the
+    # reference
     seg = _subseries(seed, rows, d, n)
     for ddof in (0, 1):
         _assert_bits_equal(_rescaled_ranges(seg, ddof), _rescaled_ranges_along_axis(seg, ddof))
     t = np.arange(1.0, n + 1.0)
     if n >= 3:
         _assert_bits_equal([_fluctuations(seg)],
-                           [_fit_along_axis(t, np.cumsum(seg, axis=-1))[2]])
+                           [fit_rows(t, np.cumsum(seg, axis=-1))[2]])
     for x in (t, np.log(t + 1.0)):
         _assert_bits_equal(fit_columns(x, [seg[..., i] for i in range(n)]),
-                           _fit_along_axis(x, seg))
+                           fit_rows(x, seg))
 
 
 @settings(max_examples=25, deadline=None)

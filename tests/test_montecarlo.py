@@ -8,6 +8,7 @@ from hurstlab.errors import CellFailed, EmptyEstimates
 from hurstlab.montecarlo import (
     METHODS,
     SimulationCell,
+    chunk_rows,
     make_grid,
     mse,
     run_cell,
@@ -15,7 +16,6 @@ from hurstlab.montecarlo import (
 )
 from hurstlab.rs import estimate_rsal, rsal_batch
 from hurstlab.sampling import ExponentialSpec, derive_stream, exponential_sample
-from hurstlab.vtp import block_count
 
 
 class TestMse:
@@ -48,13 +48,15 @@ class TestMakeGrid:
 
 
 class TestRunCell:
-    def test_deterministic_across_runs_and_chunking(self, monkeypatch):
-        cell = SimulationCell(lam=1.5, length=128, iterations=60)
+    # the default budget holds the N = 128 cell in one chunk and splits the
+    # N = 1024 cell into full chunks and a remainder; 7-row chunks end mid-cell
+    @pytest.mark.parametrize("length, iterations", [(128, 60), (1024, 40)])
+    def test_deterministic_across_runs_and_chunking(self, monkeypatch, length, iterations):
+        cell = SimulationCell(lam=1.5, length=length, iterations=iterations)
         first = run_cell(cell, 42)
         second = run_cell(cell, 42)
-        # the default budget holds the whole cell in one chunk; 7-row
-        # chunks end mid-cell
-        monkeypatch.setattr("hurstlab.montecarlo.CHUNK_ELEMENTS", 7 * block_count(128))
+        monkeypatch.setattr("hurstlab.montecarlo.CHUNK_ELEMENTS", 7 * length)
+        assert chunk_rows(length) == 7
         chunked = run_cell(cell, 42)
         assert first == second == chunked
 
