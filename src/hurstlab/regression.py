@@ -17,18 +17,19 @@ only a few values long pays a loop set-up per row, which dominates the
 kernels at the shortest windows (n = 2, 4, 8). Up to :data:`COLUMN_PATH_MAX`
 values, the kernels instead apply elementwise operations to the column views
 ``a[..., i]``, and :func:`column_sum` adds them; :func:`fit_columns` is DFA's
-line fit of such a window. A log-log fit reduces along its axis whatever its
-length: it runs once per batch, where the column lists cost more than the
-loop set-up they save. The bytes of every estimate hold only because the
-column sum keeps numpy's own order: ``ndarray.sum`` adds fewer than 8 values
-one after another, and from 8 values on it keeps 8 partial sums combined as
-``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``. At exactly 8 each partial sum is
-one value, so that tree is the whole sum. Beyond 8 the partial sums would
-have to be mirrored as well, and a Python loop over that many columns is
-slower than the reduction, so longer windows stay on the axis path. numpy
-also starts from its identity +0.0, so a sum of -0.0 terms is +0.0; the
-column sum adds 0.0 last to match. A numpy release that changed this order
-would fail the tests that pin it rather than move an estimate's low bits.
+line fit of such a window. A log-log fit has only one row per series, too
+few for the loop set-up to outweigh the column path's extra numpy calls, so
+it reduces along its axis whatever its length. The bytes of every estimate
+hold only because the column sum keeps numpy's own order: ``ndarray.sum``
+adds fewer than 8 values one after another, and from 8 values on it keeps 8
+partial sums combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``. At
+exactly 8 each partial sum is one value, so that tree is the whole sum.
+Beyond 8 the partial sums would have to be mirrored as well, and a Python
+loop over that many columns is slower than the reduction, so longer windows
+stay on the axis path. numpy also starts from its identity +0.0, so a sum of
+-0.0 terms is +0.0; the column sum adds 0.0 last to match. A numpy release
+that changed this order would fail the tests that pin it rather than move an
+estimate's low bits.
 """
 
 from __future__ import annotations
