@@ -1,4 +1,4 @@
-"""Microseconds per series of the batched R/Sal, DFA and VTP kernels.
+"""Microseconds per series of the draw and of the R/Sal, DFA and VTP kernels.
 
 Usage, from anywhere:
 
@@ -8,10 +8,14 @@ Imports hurstlab from ``CHECKOUT/src`` only, so two checkouts can be timed
 with one copy of this script. For N = 128 and N = 1024 it draws one chunk
 of exponential series, as many rows as ``montecarlo.chunk_rows`` gives a
 simulation cell of that length, and times ``rsal_batch``, ``dfa_batch`` and
-``vtp_batch`` on it after one warm-up call. It prints the rows per chunk of
-each length on stderr, and on stdout one JSON line with those rows and the
-median call time divided by the row count. The perfbench tracer does not
-wrap these kernels, so their per-layer rows are timed here.
+``vtp_batch`` on it after one warm-up call. The ``draw`` row times
+``run_cell`` on a cell of one such chunk, seeded with ``--seed``, with the
+three kernels replaced by a stub: what is left is deriving and sampling the
+chunk's streams, plus the aggregation of one cell. It prints the rows per
+chunk of each length on stderr, and on stdout one JSON line with those rows
+and the median call time divided by the row count. The perfbench tracer
+does not wrap these kernels or the chunk draw, so their per-layer rows are
+timed here.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 LENGTHS = (128, 1024)
 
@@ -39,28 +44,42 @@ def main() -> int:
     sys.path.insert(0, str(args.root.resolve() / "src"))
     import numpy as np
 
+    from hurstlab import montecarlo
     from hurstlab.dfa import dfa_batch
-    from hurstlab.montecarlo import chunk_rows
     from hurstlab.rs import rsal_batch
     from hurstlab.vtp import vtp_batch
 
+    def us_per_series(call, n_rows: int) -> float:
+        call()
+        times = []
+        for _ in range(args.calls):
+            start = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - start)
+        return float(np.median(times)) / n_rows * 1e6
+
+    def stub_fit(x, *_, **__):
+        return SimpleNamespace(hurst=np.full(x.shape[0], 0.5))
+
     rng = np.random.default_rng(args.seed)
-    rows, us_per_series = {}, {}
+    rows, metrics = {}, {}
     for n_obs in LENGTHS:
-        rows[n_obs] = chunk_rows(n_obs)
+        rows[n_obs] = montecarlo.chunk_rows(n_obs)
         print(f"N = {n_obs}: {rows[n_obs]} rows per chunk", file=sys.stderr)
+        cell = montecarlo.SimulationCell(lam=1.5, length=n_obs, iterations=rows[n_obs])
+        kernels = montecarlo.rsal_batch, montecarlo.dfa_batch, montecarlo.vtp_batch
+        montecarlo.rsal_batch = montecarlo.dfa_batch = montecarlo.vtp_batch = stub_fit
+        try:
+            metrics[f"draw.N{n_obs}.us_per_series"] = us_per_series(
+                lambda: montecarlo.run_cell(cell, args.seed), rows[n_obs])
+        finally:
+            montecarlo.rsal_batch, montecarlo.dfa_batch, montecarlo.vtp_batch = kernels
         x = rng.exponential(size=(rows[n_obs], n_obs))
         for kernel in (rsal_batch, dfa_batch, vtp_batch):
-            kernel(x)
-            times = []
-            for _ in range(args.calls):
-                start = time.perf_counter()
-                kernel(x)
-                times.append(time.perf_counter() - start)
-            us = float(np.median(times)) / rows[n_obs] * 1e6
-            us_per_series[f"{kernel.__name__}.N{n_obs}.us_per_series"] = us
+            metrics[f"{kernel.__name__}.N{n_obs}.us_per_series"] = us_per_series(
+                lambda: kernel(x), rows[n_obs])
     print(json.dumps({"numpy": np.__version__, "seed": args.seed, "rows": rows,
-                      "calls": args.calls, "metrics": us_per_series}))
+                      "calls": args.calls, "metrics": metrics}))
     return 0
 
 

@@ -13,7 +13,8 @@ statistic recenters independent data on H = 0.5.
 
 A cell runs in chunks of rows: the chunk's series are drawn into a
 (rows, N) matrix and each estimator fits every row at once. Determinism:
-each iteration owns a pre-derived RNG stream, every reduction that sets a
+each iteration owns the RNG stream its (cell, iteration) key derives
+(:func:`~hurstlab.sampling.exponential_rows`), every reduction that sets a
 row's estimate runs along that row alone, and aggregation runs over the
 per-iteration estimates in fixed order. Reports are therefore
 bit-identical however a cell is split into chunks.
@@ -31,7 +32,7 @@ from .base import DEFAULT_POLICY, WindowPolicy
 from .dfa import dfa_batch
 from .errors import CellFailed, EmptyEstimates, HurstLabError
 from .rs import rsal_batch
-from .sampling import GENERATOR_NAME, ExponentialSpec, derive_stream, exponential_sample
+from .sampling import GENERATOR_NAME, ExponentialSpec, exponential_rows
 from .vtp import vtp_batch
 
 __all__ = [
@@ -168,10 +169,7 @@ def run_cell(cell: SimulationCell, master_seed: int,
     step = chunk_rows(cell.length)
     for start in range(0, cell.iterations, step):
         stop = min(start + step, cell.iterations)
-        x = np.stack([
-            exponential_sample(derive_stream(master_seed, cell_id, k), spec)
-            for k in range(start, stop)
-        ])
+        x = exponential_rows(master_seed, cell_id, start, stop, spec)
         for j, batch in enumerate(batches):
             try:
                 estimates[start:stop, j] = batch(x).hurst

@@ -1,16 +1,33 @@
 """Seeded generation of i.i.d. exponential series for the simulation grid.
 
 Streams are derived, not shared: each (master seed, cell id, iteration)
-triple maps through numpy's SeedSequence spawn-key mechanism to its own
-PCG64 generator, so any subset of iterations can run in any order, in any
-grouping, and still draw exactly the same numbers. Exponential
-variates come from the inverse transform x = -ln(U)/lambda rather than a
-rejection scheme, so the draw sequence is a pure function of the uniform
-stream and reproducible by any implementation of the same generator.
+triple is numpy's spawn-key stream,
+``Generator(PCG64(SeedSequence(master_seed, spawn_key=(cell_id, iteration))))``,
+so any subset of iterations can run in any order, in any grouping, and
+still draw exactly the same numbers. Exponential variates come from the
+inverse transform x = -ln(U)/lambda rather than a rejection scheme, so the
+draw sequence is a pure function of the uniform stream and reproducible by
+any implementation of the same generator.
+
+The streams of a chunk of iterations are computed at once, without a
+``SeedSequence`` per iteration. SeedSequence hashes its entropy words with
+numpy's port of O'Neill's ``seed_seq_fe``, whose output numpy keeps fixed
+under its stream-compatibility policy (NEP 19). The words come in order:
+the seed, zero-padded to the 4-word pool, then the cell id, then the
+iteration. The hash constants advance the same way whatever the words are,
+so the pool after the cell id is shared by every iteration of a cell and is
+hashed in Python ints, once per chunk. Only the iteration's word(s) and the
+8-word ``generate_state(4, uint64)`` output are hashed per row, in uint32
+numpy arithmetic. PCG64 then seeds itself from those words exactly as from
+the SeedSequence, with the two LCG steps of O'Neill 2014 ("PCG: A family of
+simple fast space-efficient statistically good algorithms").
+``tests/oracles.py`` keeps numpy's own per-row path, and the tests require
+every draw to equal it bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +41,7 @@ __all__ = [
     "ExponentialSpec",
     "derive_stream",
     "exponential_inverse_cdf",
+    "exponential_rows",
     "exponential_sample",
 ]
 
@@ -32,6 +50,112 @@ __all__ = [
 GENERATOR_NAME = "numpy-pcg64/seedsequence-spawn-key"
 
 _U64 = 2**64 - 1
+_MASK32 = 0xFFFFFFFF
+
+# SeedSequence's pool size and hash constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The hash constant before and after each of ``count`` successive
+    SeedSequence hashes, each of which multiplies it by ``mult``."""
+    pairs = []
+    for _ in range(count):
+        pairs.append((init, init * mult & _MASK32))
+        init = pairs[-1][1]
+    return pairs
+
+
+def _hash(value, before, after):
+    """SeedSequence's ``hashmix`` of a word; Python ints or uint32 arrays."""
+    value = (value ^ before) * after & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two words; Python ints or uint32 arrays."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words of a non-negative int, least significant first."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+# The pool's words are hashed first, then each ordered pair of them is
+# mixed, then each later word is mixed into all four: the seed, zero-padded
+# to the pool, then the cell id and the iteration, 2 words at most each.
+_PAIRS = [(src, dst) for src in range(_POOL_SIZE) for dst in range(_POOL_SIZE) if src != dst]
+_MIX_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + 4) + len(_PAIRS))
+# (before, after) rows of the four hashes that mix in each later word
+_LATER_CONSTANTS = np.array(_MIX_CONSTANTS[_POOL_SIZE + len(_PAIRS):], np.uint32).reshape(
+    -1, _POOL_SIZE, 2).transpose(0, 2, 1)
+# generate_state(4, uint64) hashes 8 uint32 words, cycling through the pool.
+_STATE_CONSTANTS = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE), np.uint32).T
+_STATE_WORDS = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
+
+
+def _stream_states(master_seed: int, cell_id: int, iterations: np.ndarray) -> np.ndarray:
+    """``SeedSequence(master_seed, spawn_key=(cell_id, k)).generate_state(4,
+    np.uint64)`` for each k of the uint64 array ``iterations``, as rows of a
+    (len(iterations), 4) uint64 matrix. Seed and cell id are taken mod 2**64."""
+    seed_words = _words(master_seed & _U64)
+    entropy = seed_words + [0] * (_POOL_SIZE - len(seed_words)) + _words(cell_id & _U64)
+    constants = iter(_MIX_CONSTANTS)
+    pool = [_hash(word, *next(constants)) for word in entropy[:_POOL_SIZE]]
+    for src, dst in _PAIRS:
+        pool[dst] = _mix(pool[dst], _hash(pool[src], *next(constants)))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(word, *next(constants)))
+
+    # The iteration's words, all rows at once, into the four pool words side
+    # by side. An iteration of 2**32 or more has a second word, others not.
+    low, high = _LATER_CONSTANTS[len(entropy) - _POOL_SIZE:][:2]
+    pool = _mix(np.array(pool, np.uint32), _hash(iterations.astype(np.uint32)[:, None], *low))
+    high_words = (iterations >> 32).astype(np.uint32)[:, None]
+    if high_words.any():
+        pool = np.where(high_words > 0, _mix(pool, _hash(high_words, *high)), pool)
+    state = _hash(pool[:, _STATE_WORDS], *_STATE_CONSTANTS)
+    # word pairs join little-endian, whatever the host's byte order
+    return np.ascontiguousarray(state, "<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _spawn_state_type() -> type:
+    """An ``ISeedSequence`` holding one row of :func:`_stream_states`, a
+    spawn-key SeedSequence's ``generate_state(4, uint64)``: PCG64 seeds
+    itself from these words as it would from the SeedSequence. Made on first
+    use, so that importing hurstlab does not import numpy.random (about
+    17 ms), which ``hurstlab estimate`` never uses."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SpawnState(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SpawnState
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_spawn_state_type()(words)))
+
+
+def _bump_zeros(u: np.ndarray) -> np.ndarray:
+    """Uniform draws on (0, 1), in place: a draw of exactly 0.0 becomes the
+    next representable positive double, so logs stay finite."""
+    u[u == 0.0] = np.nextafter(0.0, 1.0)
+    return u
 
 
 @dataclass
@@ -45,19 +169,16 @@ class RngStream:
     def uniforms(self, size: int) -> np.ndarray:
         """Uniform draws on (0, 1): a zero draw is bumped to the next
         representable positive double so logs stay finite."""
-        u = self.generator.random(size)
-        u[u == 0.0] = np.nextafter(0.0, 1.0)
-        return u
+        return _bump_zeros(self.generator.random(size))
 
 
 def derive_stream(master_seed: int, cell_id: int, iteration: int) -> RngStream:
-    """Derive the independent stream for one (cell, iteration) pair."""
-    seq = np.random.SeedSequence(
-        entropy=master_seed & _U64,
-        spawn_key=(cell_id & _U64, iteration & _U64),
-    )
+    """Derive the independent stream for one (cell, iteration) pair: the
+    one-row case of :func:`exponential_rows`. Every coordinate is taken
+    mod 2**64."""
+    iterations = np.array([iteration & _U64], dtype=np.uint64)
     return RngStream(
-        generator=np.random.Generator(np.random.PCG64(seq)),
+        generator=_generator(_stream_states(master_seed, cell_id, iterations)[0]),
         master_seed=master_seed,
         stream_id=(cell_id, iteration),
     )
@@ -85,3 +206,15 @@ def exponential_inverse_cdf(u, lam: float):
 def exponential_sample(stream: RngStream, spec: ExponentialSpec) -> np.ndarray:
     """Length-L series of i.i.d. Exponential(lambda) draws; all values > 0."""
     return exponential_inverse_cdf(stream.uniforms(spec.length), spec.lam)
+
+
+def exponential_rows(master_seed: int, cell_id: int, start: int, stop: int,
+                     spec: ExponentialSpec) -> np.ndarray:
+    """Iterations ``start`` to ``stop - 1`` of a cell as a (stop - start, L)
+    matrix, with 0 <= start <= stop <= 2**64. Row r equals
+    ``exponential_sample(derive_stream(master_seed, cell_id, start + r), spec)``."""
+    iterations = start + np.arange(stop - start, dtype=np.uint64)
+    u = np.empty((stop - start, spec.length))
+    for row, words in zip(u, _stream_states(master_seed, cell_id, iterations)):
+        _generator(words).random(out=row)
+    return exponential_inverse_cdf(_bump_zeros(u), spec.lam)

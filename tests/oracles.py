@@ -83,6 +83,24 @@ def aggregated_variance_reference(series, w: int) -> float:
     return float(np.mean([(m - grand_mean) ** 2 for m in means]))
 
 
+def spawn_key_uniforms(master_seed: int, cell_id: int, iteration: int,
+                       size: int) -> np.ndarray:
+    """numpy's own path for one stream: SeedSequence(master_seed,
+    spawn_key=(cell_id, iteration)) seeds PCG64, Generator.random draws,
+    and a draw of exactly 0.0 becomes the next positive double."""
+    seq = np.random.SeedSequence(master_seed, spawn_key=(cell_id, iteration))
+    u = np.random.Generator(np.random.PCG64(seq)).random(size)
+    u[u == 0.0] = np.nextafter(0.0, 1.0)
+    return u
+
+
+def exponential_rows_reference(master_seed: int, cell_id: int, iterations,
+                               length: int, lam: float) -> np.ndarray:
+    """One row per iteration: -ln(u)/lambda of that iteration's uniforms."""
+    return np.stack([-np.log(spawn_key_uniforms(master_seed, cell_id, k, length)) / lam
+                     for k in iterations])
+
+
 class ReferenceParseError(Exception):
     """A series-file line the reference parser rejects (1-based number)."""
 

@@ -23,7 +23,12 @@ from hurstlab.rs import (
     estimate_rsal,
     rsal_batch,
 )
-from hurstlab.sampling import ExponentialSpec, derive_stream, exponential_sample
+from hurstlab.sampling import (
+    ExponentialSpec,
+    derive_stream,
+    exponential_rows,
+    exponential_sample,
+)
 from hurstlab.vtp import estimate_vtp, vtp_batch
 from oracles import assert_results_equal
 
@@ -123,18 +128,16 @@ def test_constant_row_fails_alone(n_obs, seed, position, level):
 
 
 def test_run_cell_counts_constant_row_as_failure(monkeypatch):
-    real = exponential_sample
+    def with_constant_row(master_seed, cell_id, start, stop, spec):
+        x = exponential_rows(master_seed, cell_id, start, stop, spec)
+        x[np.arange(start, stop) == 2] = 3.0
+        return x
 
-    def with_constant_row(stream, spec):
-        if stream.stream_id[1] == 2:
-            return np.full(spec.length, 3.0)
-        return real(stream, spec)
-
-    monkeypatch.setattr("hurstlab.montecarlo.exponential_sample", with_constant_row)
+    monkeypatch.setattr("hurstlab.montecarlo.exponential_rows", with_constant_row)
     cell = SimulationCell(lam=1.0, length=128, iterations=6)
     report = run_cell(cell, 42)
     spec = ExponentialSpec(1.0, 128)
-    others = [real(derive_stream(42, 0, k), spec) for k in (0, 1, 3, 4, 5)]
+    others = [exponential_sample(derive_stream(42, 0, k), spec) for k in (0, 1, 3, 4, 5)]
     for method, estimate in (("RSAL", estimate_rsal), ("DFA", estimate_dfa),
                              ("VTP", estimate_vtp)):
         stats = report.methods[method]

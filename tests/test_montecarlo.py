@@ -15,7 +15,13 @@ from hurstlab.montecarlo import (
     run_grid,
 )
 from hurstlab.rs import estimate_rsal, rsal_batch
-from hurstlab.sampling import ExponentialSpec, derive_stream, exponential_sample
+from hurstlab.sampling import (
+    ExponentialSpec,
+    derive_stream,
+    exponential_rows,
+    exponential_sample,
+)
+from oracles import exponential_rows_reference
 
 
 class TestMse:
@@ -59,6 +65,15 @@ class TestRunCell:
         assert chunk_rows(length) == 7
         chunked = run_cell(cell, 42)
         assert first == second == chunked
+
+    @pytest.mark.parametrize("length", [128, 1024])
+    @pytest.mark.parametrize("start, stop", [(7, 14), (63, 70)])
+    def test_mid_cell_chunk_equals_numpy_rows(self, length, start, stop):
+        spec = ExponentialSpec(1.5, length)
+        chunk = exponential_rows(42, 3, start, stop, spec)
+        expected = exponential_rows_reference(42, 3, range(start, stop), length, 1.5)
+        np.testing.assert_array_equal(chunk, expected)
+        np.testing.assert_array_equal(chunk, exponential_rows(42, 3, 0, 100, spec)[start:stop])
 
     def test_large_sample_cell_lands_on_half(self):
         # lambda=0.1, N=1024: adjusted R/S mean lands tightly on 0.5
