@@ -1,4 +1,5 @@
-"""Microseconds per series of the draw and of the R/Sal, DFA and VTP kernels.
+"""Microseconds per series of the draw and of the R/Sal, DFA and VTP kernels,
+and milliseconds per one-cell ``simulate`` call.
 
 Usage, from anywhere:
 
@@ -13,18 +14,31 @@ simulation cell of that length, and times ``rsal_batch``, ``dfa_batch`` and
 three kernels replaced by a stub: what is left is deriving and sampling the
 chunk's streams, plus the aggregation of one cell. It prints the rows per
 chunk of each length on stderr, and on stdout one JSON line with those rows
-and the median call time divided by the row count. The perfbench tracer
-does not wrap these kernels or the chunk draw, so their per-layer rows are
-timed here.
+and the median call time divided by the row count.
+
+The ``simulate_rewrite`` and ``simulate_fresh`` rows time one
+``hurstlab.cli.main(["simulate", ...])`` call of one cell (rate 1.5,
+N = 128, one iteration), in milliseconds per call: ``simulate_rewrite``
+into a directory that already holds that call's report and plot files,
+``simulate_fresh`` into an empty directory, a different one for each call,
+all made before the timing. The directories are made under the system
+temporary directory (``TMPDIR``), whose filesystem sets what rewriting a
+file costs.
+
+The perfbench tracer does not wrap these kernels, the chunk draw or the
+output writes, so their per-layer rows are timed here.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -45,18 +59,22 @@ def main() -> int:
     import numpy as np
 
     from hurstlab import montecarlo
+    from hurstlab.cli import main as cli_main
     from hurstlab.dfa import dfa_batch
     from hurstlab.rs import rsal_batch
     from hurstlab.vtp import vtp_batch
 
-    def us_per_series(call, n_rows: int) -> float:
+    def median_s(call) -> float:
         call()
         times = []
         for _ in range(args.calls):
             start = time.perf_counter()
             call()
             times.append(time.perf_counter() - start)
-        return float(np.median(times)) / n_rows * 1e6
+        return float(np.median(times))
+
+    def us_per_series(call, n_rows: int) -> float:
+        return median_s(call) / n_rows * 1e6
 
     def stub_fit(x, *_, **__):
         return SimpleNamespace(hurst=np.full(x.shape[0], 0.5))
@@ -78,6 +96,24 @@ def main() -> int:
         for kernel in (rsal_batch, dfa_batch, vtp_batch):
             metrics[f"{kernel.__name__}.N{n_obs}.us_per_series"] = us_per_series(
                 lambda: kernel(x), rows[n_obs])
+
+    def simulate(directory: Path) -> None:
+        argv = ["simulate", "--lambdas", "1.5", "--sizes", "128", "--iteration-counts",
+                "1", "--seed", str(args.seed), "--out", str(directory / "report.json")]
+        with redirect_stderr(io.StringIO()) as err:
+            code = cli_main(argv)
+        if code != 0:
+            sys.exit(f"simulate exited {code}: {err.getvalue()}")
+
+    with tempfile.TemporaryDirectory(prefix="time_kernels-") as work:
+        fresh = [Path(work, f"fresh{i}") for i in range(args.calls + 1)]
+        for directory in fresh:
+            directory.mkdir()
+        unused = iter(fresh)
+        metrics["simulate_rewrite.ms_per_call"] = median_s(
+            lambda: simulate(Path(work))) * 1e3
+        metrics["simulate_fresh.ms_per_call"] = median_s(
+            lambda: simulate(next(unused))) * 1e3
     print(json.dumps({"numpy": np.__version__, "seed": args.seed, "rows": rows,
                       "calls": args.calls, "metrics": metrics}))
     return 0

@@ -9,6 +9,19 @@ Exit codes: 0 success, 2 input/parse error, 3 estimation/simulation error,
 4 output I/O error. The master seed resolves as CLI flag, then the
 HURSTLAB_SEED environment variable, then the built-in default; it must lie
 in [0, 2**64 - 1], the range the stream derivation distinguishes.
+
+simulate writes its report and, beside it, one plot-data CSV per (method,
+iteration count). An --out that is also one of those paths exits 2 before
+any cell runs. An output that exists is rewritten in place: the new bytes
+go over the old ones and any old tail is cut off, so the file keeps its
+mode and a symlink or hard link still reaches it. The file is never
+truncated to zero first, because ext4 starts writeback at close() of a
+file truncated and rewritten that way (auto_da_alloc, ext4(5)), which cost
+more than the writes themselves. Outputs are not fsynced, as before; a
+report is reproducible from its seed. The bytes written are exactly
+``text.encode("utf-8")`` with ``\n`` line ends: what ``Path.write_text``
+wrote on POSIX, without the ``\r`` that text mode adds on Windows, so
+reports match across systems.
 """
 
 from __future__ import annotations
@@ -34,6 +47,7 @@ from .montecarlo import (
     DEFAULT_ITERATION_COUNTS,
     DEFAULT_LAMBDAS,
     DEFAULT_SIZES,
+    METHODS,
     make_grid,
     run_grid,
 )
@@ -41,6 +55,7 @@ from .report import (
     estimates_to_csv,
     estimates_to_json,
     plot_data_files,
+    plot_data_name,
     read_series_file,
     report_to_csv,
     report_to_json,
@@ -193,6 +208,21 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _write_output(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 over the file at ``path``, creating it if
+    missing and cutting off any longer old content; see the module docstring
+    for why the file is not truncated first."""
+    data = text.encode("utf-8")
+    # O_BINARY (Windows only) keeps the bytes as given, without \r added.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as file:
+        # A FIFO or device reports size 0, so it is never truncated.
+        old_size = os.fstat(fd).st_size
+        file.write(data)
+        if old_size > len(data):
+            file.truncate()
+
+
 def cmd_simulate(args) -> int:
     policy = _build_policy(args)
     seed = _resolve_seed(args.seed)
@@ -207,20 +237,29 @@ def cmd_simulate(args) -> int:
     if too_many:
         raise _InputError(f"iteration count {too_many[0]} is above the limit of "
                           f"{MAX_SIMULATE_ITERATIONS}")
+    out = Path(args.out) if args.out else Path(f"hurst_report.{args.format}")
+    plot_names = {plot_data_name(method, n)
+                  for method in METHODS for n in args.iteration_counts}
+    # The plot files go beside --out, so only a symlink as its last part can
+    # lead out of their names; resolving every path would cost more than
+    # the writes. realpath, unlike Path.resolve, returns on a symlink loop,
+    # which then fails to open like any unwritable output.
+    if out.name in plot_names or out.is_symlink() and os.path.realpath(out) in {
+            os.path.realpath(out.parent / name) for name in plot_names}:
+        raise _InputError(f"--out {out} is also the path of a plot-data file")
     report = run_grid(
         cells, seed, policy,
         sd_mode=args.sd_mode,
         vtp_divisors_only=args.vtp_divisors_only,
     )
 
-    out = Path(args.out) if args.out else Path(f"hurst_report.{args.format}")
     body = report_to_json(report) if args.format == "json" else report_to_csv(report)
     try:
-        out.write_text(body, encoding="utf-8")
+        _write_output(out, body)
         written = [out]
         for name, content in plot_data_files(report).items():
             path = out.parent / name
-            path.write_text(content, encoding="utf-8")
+            _write_output(path, content)
             written.append(path)
     except OSError as exc:
         print(f"hurstlab: cannot write output: {exc}", file=sys.stderr)

@@ -32,6 +32,7 @@ __all__ = [
     "report_from_json",
     "report_to_csv",
     "plot_data_files",
+    "plot_data_name",
     "estimates_to_json",
     "estimates_to_csv",
 ]
@@ -213,9 +214,13 @@ def plot_data_files(report: SimulationReport) -> dict[str, str]:
                     else:
                         row.append(_fmt4(cell.methods[method].mean_hurst))
                 lines.append(",".join(row))
-            name = f"hurst_vs_lambda_{method.lower()}_iter{iters}.csv"
-            files[name] = "\n".join(lines) + "\n"
+            files[plot_data_name(method, iters)] = "\n".join(lines) + "\n"
     return files
+
+
+def plot_data_name(method: str, iterations: int) -> str:
+    """File name of the plot data for one method and iteration count."""
+    return f"hurst_vs_lambda_{method.lower()}_iter{iterations}.csv"
 
 
 # --- single-series estimates ------------------------------------------------

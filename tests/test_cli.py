@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 import warnings
 
 import numpy as np
@@ -310,6 +313,102 @@ class TestSimulate:
             "simulate", "--lambdas", "0.5", "--sizes", "64",
             "--iteration-counts", "3", "--out", str(tmp_path / "r.json"),
         ]) == 2
+
+
+def _small_grid(out, *extra):
+    return ["simulate", "--lambdas", "0.5", "1.5", "--sizes", "64", "--iteration-counts",
+            "3", "--seed", "11", "--out", str(out), *extra]
+
+
+def _tree_bytes(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+class TestSimulateOutputFiles:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("junk", [b"x" * 100_000, b"short\n", b""],
+                             ids=["longer", "shorter", "empty"])
+    def test_rewrite_over_existing_files_equals_fresh_run(self, tmp_path, fmt, junk):
+        fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+        fresh.mkdir()
+        rerun.mkdir()
+        assert main(_small_grid(fresh / f"r.{fmt}", "--format", fmt)) == 0
+        reference = tmp_path / "reference"
+        reference.write_text("")
+        for path in fresh.iterdir():
+            assert path.stat().st_mode == reference.stat().st_mode
+        for name in _tree_bytes(fresh):
+            (rerun / name).write_bytes(junk)
+        assert main(_small_grid(rerun / f"r.{fmt}", "--format", fmt)) == 0
+        assert _tree_bytes(rerun) == _tree_bytes(fresh)
+        assert len(_tree_bytes(fresh)) == 4
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+    def test_symlinked_and_hard_linked_report_written_through(self, tmp_path):
+        assert main(_small_grid(tmp_path / "fresh.json")) == 0
+        expected = (tmp_path / "fresh.json").read_bytes()
+        target = tmp_path / "data" / "report.json"
+        target.parent.mkdir()
+        target.write_bytes(b"x" * 100_000)
+        target.chmod(0o640)
+        os.link(target, tmp_path / "hard.json")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(_small_grid(link)) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == expected
+        assert (tmp_path / "hard.json").read_bytes() == expected
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("kind", ["directory", "symlink-loop"])
+    def test_unopenable_out_exits_4(self, tmp_path, capsys, kind):
+        out = tmp_path / "report.json"
+        if kind == "directory":
+            out.mkdir()
+        else:
+            out.symlink_to(out)
+        assert main(_small_grid(out)) == 4
+        assert "cannot write output" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_fifo_out_receives_whole_report(self, tmp_path):
+        assert main(_small_grid(tmp_path / "fresh.json")) == 0
+        fifo = tmp_path / "pipe.json"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo, "rb") as reader:
+                received.append(reader.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        # truncate() on a FIFO fails, which would exit 4
+        assert main(_small_grid(fifo)) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [(tmp_path / "fresh.json").read_bytes()]
+
+    @pytest.mark.parametrize("fmt, name", [
+        ("json", "hurst_vs_lambda_vtp_iter3.csv"),
+        ("csv", "hurst_vs_lambda_rsal_iter10.csv"),
+    ])
+    def test_out_naming_a_plot_file_exits_2_before_any_cell(self, tmp_path, capsys,
+                                                           monkeypatch, fmt, name):
+        monkeypatch.setattr("hurstlab.montecarlo.run_cell", _no_cell_may_run)
+        out = tmp_path / name
+        assert main(["simulate", "--lambdas", "0.5", "--sizes", "64", "--iteration-counts",
+                     "3", "10", "--format", fmt, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"hurstlab: --out {out} is also the path of a plot-data file\n")
+        assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+    def test_out_linked_to_a_plot_file_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("hurstlab.montecarlo.run_cell", _no_cell_may_run)
+        link = tmp_path / "report.json"
+        link.symlink_to(tmp_path / "hurst_vs_lambda_dfa_iter3.csv")
+        assert main(_small_grid(link)) == 2
 
 
 class TestExpectedRs:
