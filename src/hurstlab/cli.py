@@ -17,8 +17,11 @@ go over the old ones and any old tail is cut off, so the file keeps its
 mode and a symlink or hard link still reaches it. The file is never
 truncated to zero first, because ext4 starts writeback at close() of a
 file truncated and rewritten that way (auto_da_alloc, ext4(5)), which cost
-more than the writes themselves. Outputs are not fsynced, as before; a
-report is reproducible from its seed. The bytes written are exactly
+more than the writes themselves. Outputs are not fsynced, as before. After
+a crash or power loss, an output written just before it may hold a mix of
+old and new blocks at the new length, which still parses but has wrong
+rows, and nothing marks it as torn. Regenerate such outputs from their
+seed, which reproduces them byte for byte. The bytes written are exactly
 ``text.encode("utf-8")`` with ``\n`` line ends: what ``Path.write_text``
 wrote on POSIX, without the ``\r`` that text mode adds on Windows, so
 reports match across systems.
@@ -242,9 +245,10 @@ def cmd_simulate(args) -> int:
                   for method in METHODS for n in args.iteration_counts}
     # The plot files go beside --out, so only a symlink as its last part can
     # lead out of their names; resolving every path would cost more than
-    # the writes. realpath, unlike Path.resolve, returns on a symlink loop,
-    # which then fails to open like any unwritable output.
-    if out.name in plot_names or out.is_symlink() and os.path.realpath(out) in {
+    # the writes. os.path.islink and realpath, unlike Path.is_symlink and
+    # Path.resolve, return on any lstat error or symlink loop, so such an
+    # --out fails to open later and exits 4 like any unwritable output.
+    if out.name in plot_names or os.path.islink(out) and os.path.realpath(out) in {
             os.path.realpath(out.parent / name) for name in plot_names}:
         raise _InputError(f"--out {out} is also the path of a plot-data file")
     report = run_grid(

@@ -32,7 +32,6 @@ __all__ = [
     "report_from_json",
     "report_to_csv",
     "plot_data_files",
-    "plot_data_name",
     "estimates_to_json",
     "estimates_to_csv",
 ]

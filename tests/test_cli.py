@@ -360,13 +360,16 @@ class TestSimulateOutputFiles:
         assert (tmp_path / "hard.json").read_bytes() == expected
         assert stat.S_IMODE(target.stat().st_mode) == 0o640
 
-    @pytest.mark.parametrize("kind", ["directory", "symlink-loop"])
+    @pytest.mark.parametrize("kind", ["directory", "symlink-loop", "name-too-long"])
     def test_unopenable_out_exits_4(self, tmp_path, capsys, kind):
         out = tmp_path / "report.json"
         if kind == "directory":
             out.mkdir()
-        else:
+        elif kind == "symlink-loop":
             out.symlink_to(out)
+        else:
+            # over NAME_MAX, so even lstat of the name fails
+            out = tmp_path / ("r" * 300 + ".json")
         assert main(_small_grid(out)) == 4
         assert "cannot write output" in capsys.readouterr().err
 
