@@ -12,16 +12,15 @@ import numpy as np
 
 from hurstlab import (
     ExponentialSpec,
-    derive_stream,
     estimate_dfa,
     estimate_rs,
     estimate_rsal,
     estimate_vtp,
-    exponential_sample,
+    exponential_rows,
 )
 
-# A reproducible sample: master seed 42, stream (0, 0), rate 1.5.
-series = exponential_sample(derive_stream(42, 0, 0), ExponentialSpec(lam=1.5, length=1024))
+# A reproducible sample: master seed 42, cell 0, iteration 0, rate 1.5.
+series = exponential_rows(42, 0, 0, 1, ExponentialSpec(lam=1.5, length=1024))[0]
 print(f"series: n={series.size}, mean={series.mean():.4f}, expected mean={1 / 1.5:.4f}")
 
 for result in (

@@ -22,7 +22,7 @@ from .montecarlo import (
 )
 from .regression import RegressionFit
 from .rs import estimate_rs, estimate_rsal, expected_rs
-from .sampling import ExponentialSpec, RngStream, derive_stream, exponential_sample
+from .sampling import ExponentialSpec, exponential_rows
 from .vtp import estimate_vtp
 
 # What the README and the demos call, and the types those calls take or
@@ -38,10 +38,8 @@ __all__ = [
     "estimate_dfa",
     "estimate_vtp",
     "expected_rs",
-    "RngStream",
     "ExponentialSpec",
-    "derive_stream",
-    "exponential_sample",
+    "exponential_rows",
     "SimulationCell",
     "MethodStats",
     "CellReport",

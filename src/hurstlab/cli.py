@@ -11,20 +11,20 @@ HURSTLAB_SEED environment variable, then the built-in default; it must lie
 in [0, 2**64 - 1], the range the stream derivation distinguishes.
 
 simulate writes its report and, beside it, one plot-data CSV per (method,
-iteration count). An --out that is also one of those paths exits 2 before
-any cell runs. An output that exists is rewritten in place: the new bytes
-go over the old ones and any old tail is cut off, so the file keeps its
-mode and a symlink or hard link still reaches it. The file is never
-truncated to zero first, because ext4 starts writeback at close() of a
-file truncated and rewritten that way (auto_da_alloc, ext4(5)), which cost
-more than the writes themselves. Outputs are not fsynced, as before. After
-a crash or power loss, an output written just before it may hold a mix of
-old and new blocks at the new length, which still parses but has wrong
-rows, and nothing marks it as torn. Regenerate such outputs from their
-seed, which reproduces them byte for byte. The bytes written are exactly
-``text.encode("utf-8")`` with ``\n`` line ends: what ``Path.write_text``
-wrote on POSIX, without the ``\r`` that text mode adds on Windows, so
-reports match across systems.
+iteration count). Two outputs that are one file, by name, symlink or hard
+link, exit 2 before any cell runs. An output that exists is rewritten in
+place: the new bytes go over the old ones and any old tail is cut off, so
+the file keeps its mode and a symlink or hard link still reaches it. The
+file is never truncated to zero first, because ext4 starts writeback at
+close() of a file truncated and rewritten that way (auto_da_alloc,
+ext4(5)), which cost more than the writes themselves. Outputs are not
+fsynced, as before. After a crash or power loss, an output written just
+before it may hold a mix of old and new blocks at the new length, which
+still parses but has wrong rows, and nothing marks it as torn. Regenerate
+such outputs from their seed, which reproduces them byte for byte. The
+bytes written are exactly ``text.encode("utf-8")`` with ``\n`` line ends:
+what ``Path.write_text`` wrote on POSIX, without the ``\r`` that text mode
+adds on Windows, so reports match across systems.
 """
 
 from __future__ import annotations
@@ -226,6 +226,27 @@ def _write_output(path: Path, text: str) -> None:
             file.truncate()
 
 
+def _check_distinct_outputs(out: Path, plot_paths: list[Path]) -> None:
+    """Raise before any cell runs if two of simulate's outputs are one file,
+    by name, symlink or hard link; one write would lose the other. A path is
+    known by the file it reaches, or, when os.stat cannot follow it (new, a
+    dangling symlink, a loop, a name over NAME_MAX), by where its name
+    leads. realpath returns on any such error, so a path that cannot be
+    opened exits 4 at its write, not here."""
+    seen = {}
+    for path in [out, *plot_paths]:
+        try:
+            st = os.stat(path)
+            identity = st.st_dev, st.st_ino
+        except OSError:
+            identity = os.path.realpath(path)
+        first = seen.setdefault(identity, path)
+        if first is not path:
+            raise _InputError(f"--out {out} is also the path of a plot-data file"
+                              if first is out else
+                              f"plot-data files {first} and {path} are the same file")
+
+
 def cmd_simulate(args) -> int:
     policy = _build_policy(args)
     seed = _resolve_seed(args.seed)
@@ -241,16 +262,8 @@ def cmd_simulate(args) -> int:
         raise _InputError(f"iteration count {too_many[0]} is above the limit of "
                           f"{MAX_SIMULATE_ITERATIONS}")
     out = Path(args.out) if args.out else Path(f"hurst_report.{args.format}")
-    plot_names = {plot_data_name(method, n)
-                  for method in METHODS for n in args.iteration_counts}
-    # The plot files go beside --out, so only a symlink as its last part can
-    # lead out of their names; resolving every path would cost more than
-    # the writes. os.path.islink and realpath, unlike Path.is_symlink and
-    # Path.resolve, return on any lstat error or symlink loop, so such an
-    # --out fails to open later and exits 4 like any unwritable output.
-    if out.name in plot_names or os.path.islink(out) and os.path.realpath(out) in {
-            os.path.realpath(out.parent / name) for name in plot_names}:
-        raise _InputError(f"--out {out} is also the path of a plot-data file")
+    _check_distinct_outputs(out, [out.parent / plot_data_name(method, n)
+                                  for n in args.iteration_counts for method in METHODS])
     report = run_grid(
         cells, seed, policy,
         sd_mode=args.sd_mode,

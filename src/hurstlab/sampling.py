@@ -1,13 +1,15 @@
 """Seeded generation of i.i.d. exponential series for the simulation grid.
 
-Streams are derived, not shared: each (master seed, cell id, iteration)
-triple is numpy's spawn-key stream,
+Every draw comes from :func:`exponential_rows`. Streams are derived, not
+shared: each (master seed, cell id, iteration) triple is numpy's spawn-key
+stream,
 ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(cell_id, iteration))))``,
 so any subset of iterations can run in any order, in any grouping, and
-still draw exactly the same numbers. Exponential variates come from the
-inverse transform x = -ln(U)/lambda rather than a rejection scheme, so the
-draw sequence is a pure function of the uniform stream and reproducible by
-any implementation of the same generator.
+still draw exactly the same numbers. Seed and cell id are taken mod 2**64;
+iterations run over the uint64 range, 0 to 2**64 - 1. Exponential variates
+come from the inverse transform x = -ln(U)/lambda rather than a rejection
+scheme, so the draw sequence is a pure function of the uniform stream and
+reproducible by any implementation of the same generator.
 
 The streams of a chunk of iterations are computed at once, without a
 ``SeedSequence`` per iteration. SeedSequence hashes its entropy words with
@@ -35,15 +37,7 @@ import numpy as np
 
 from .errors import SeriesError
 
-__all__ = [
-    "GENERATOR_NAME",
-    "RngStream",
-    "ExponentialSpec",
-    "derive_stream",
-    "exponential_inverse_cdf",
-    "exponential_rows",
-    "exponential_sample",
-]
+__all__ = ["GENERATOR_NAME", "ExponentialSpec", "exponential_rows"]
 
 # Recorded in every simulation report; anyone reproducing the numbers needs
 # the bit generator and the stream-derivation scheme, not just the seed.
@@ -151,39 +145,6 @@ def _generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_spawn_state_type()(words)))
 
 
-def _bump_zeros(u: np.ndarray) -> np.ndarray:
-    """Uniform draws on (0, 1), in place: a draw of exactly 0.0 becomes the
-    next representable positive double, so logs stay finite."""
-    u[u == 0.0] = np.nextafter(0.0, 1.0)
-    return u
-
-
-@dataclass
-class RngStream:
-    """A deterministic uniform stream plus the coordinates that created it."""
-
-    generator: np.random.Generator
-    master_seed: int
-    stream_id: tuple[int, int]
-
-    def uniforms(self, size: int) -> np.ndarray:
-        """Uniform draws on (0, 1): a zero draw is bumped to the next
-        representable positive double so logs stay finite."""
-        return _bump_zeros(self.generator.random(size))
-
-
-def derive_stream(master_seed: int, cell_id: int, iteration: int) -> RngStream:
-    """Derive the independent stream for one (cell, iteration) pair: the
-    one-row case of :func:`exponential_rows`. Every coordinate is taken
-    mod 2**64."""
-    iterations = np.array([iteration & _U64], dtype=np.uint64)
-    return RngStream(
-        generator=_generator(_stream_states(master_seed, cell_id, iterations)[0]),
-        master_seed=master_seed,
-        stream_id=(cell_id, iteration),
-    )
-
-
 @dataclass(frozen=True)
 class ExponentialSpec:
     """Rate parameter (lambda) and length of one exponential sample."""
@@ -198,23 +159,26 @@ class ExponentialSpec:
             raise SeriesError(f"sample length must be >= 2, got {self.length}")
 
 
-def exponential_inverse_cdf(u, lam: float):
-    """Inverse CDF of Exponential(lambda): x = -ln(u)/lambda for u in (0, 1)."""
-    return -np.log(u) / lam
-
-
-def exponential_sample(stream: RngStream, spec: ExponentialSpec) -> np.ndarray:
-    """Length-L series of i.i.d. Exponential(lambda) draws; all values > 0."""
-    return exponential_inverse_cdf(stream.uniforms(spec.length), spec.lam)
-
-
 def exponential_rows(master_seed: int, cell_id: int, start: int, stop: int,
                      spec: ExponentialSpec) -> np.ndarray:
     """Iterations ``start`` to ``stop - 1`` of a cell as a (stop - start, L)
-    matrix, with 0 <= start <= stop <= 2**64. Row r equals
-    ``exponential_sample(derive_stream(master_seed, cell_id, start + r), spec)``."""
-    iterations = start + np.arange(stop - start, dtype=np.uint64)
+    matrix of i.i.d. Exponential(lambda) draws, all finite and > 0. Row r is
+    -ln(u)/lambda of the first L uniforms of iteration start + r's stream,
+    with a uniform of exactly 0.0 bumped to the next positive double so its
+    log stays finite. One series is ``exponential_rows(seed, cell_id, k,
+    k + 1, spec)[0]``.
+
+    Iterations are the uint64 range: 0 <= start <= stop <= 2**64, else
+    ``SeriesError``. Seed and cell id are taken mod 2**64."""
+    if start < 0:
+        raise SeriesError(f"start iteration {start} is below 0")
+    if stop < start:
+        raise SeriesError(f"stop iteration {stop} is below start iteration {start}")
+    if stop > 2**64:
+        raise SeriesError(f"stop iteration {stop} is above 2**64")
     u = np.empty((stop - start, spec.length))
+    iterations = np.arange(start, stop, dtype=np.uint64)
     for row, words in zip(u, _stream_states(master_seed, cell_id, iterations)):
         _generator(words).random(out=row)
-    return exponential_inverse_cdf(_bump_zeros(u), spec.lam)
+    u[u == 0.0] = np.nextafter(0.0, 1.0)
+    return -np.log(u) / spec.lam

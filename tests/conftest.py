@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hurstlab import ExponentialSpec, derive_stream, exponential_sample
+from hurstlab import ExponentialSpec, exponential_rows
 
 
 @pytest.fixture
@@ -9,7 +9,7 @@ def exp_series():
     """Factory for seeded exponential series."""
 
     def make(length: int, lam: float = 1.0, seed: int = 0, iteration: int = 0) -> np.ndarray:
-        stream = derive_stream(seed, 0, iteration)
-        return exponential_sample(stream, ExponentialSpec(lam=lam, length=length))
+        spec = ExponentialSpec(lam=lam, length=length)
+        return exponential_rows(seed, 0, iteration, iteration + 1, spec)[0]
 
     return make

@@ -13,12 +13,11 @@ from scipy import stats as scipy_stats
 
 from hurstlab import (
     ExponentialSpec,
-    derive_stream,
     estimate_dfa,
     estimate_rsal,
     estimate_vtp,
-    exponential_sample,
     expected_rs,
+    exponential_rows,
     make_grid,
     run_grid,
 )
@@ -183,8 +182,7 @@ def test_criterion_7_invariance_suite():
     under shared uniform draws."""
     violations = []
     rng = np.random.default_rng(1234)
-    for k in range(100):
-        series = exponential_sample(derive_stream(77, 0, k), ExponentialSpec(1.5, 256))
+    for k, series in enumerate(exponential_rows(77, 0, 0, 100, ExponentialSpec(1.5, 256))):
         a = float(rng.uniform(0.1, 10.0))
         b = float(rng.uniform(-5.0, 5.0))
         mapped = a * series + b
@@ -198,9 +196,9 @@ def test_criterion_7_invariance_suite():
                 violations.append(
                     f"iter {k}: {method} moved {abs(base - transformed):.2e} under a={a:.3f}, b={b:.3f}"
                 )
-    for k in range(100):
-        low = exponential_sample(derive_stream(88, 0, k), ExponentialSpec(0.1, 256))
-        high = exponential_sample(derive_stream(88, 0, k), ExponentialSpec(7.0, 256))
+    lows = exponential_rows(88, 0, 0, 100, ExponentialSpec(0.1, 256))
+    highs = exponential_rows(88, 0, 0, 100, ExponentialSpec(7.0, 256))
+    for k, (low, high) in enumerate(zip(lows, highs)):
         delta = abs(estimate_rsal(low).hurst - estimate_rsal(high).hurst)
         if delta > 1e-12:
             violations.append(f"iter {k}: RSAL differs across lambda by {delta:.2e}")
@@ -241,11 +239,11 @@ def test_criterion_9_sampler_correctness():
     """Seeded KS test per lambda at alpha=0.001; 3-sigma mean check."""
     violations = []
     for i, lam in enumerate(LAMBDAS):
-        draws = exponential_sample(derive_stream(99, i, 0), ExponentialSpec(lam, 10**4))
+        draws = exponential_rows(99, i, 0, 1, ExponentialSpec(lam, 10**4))[0]
         result = scipy_stats.kstest(draws, "expon", args=(0, 1.0 / lam))
         if result.pvalue <= 0.001:
             violations.append(f"lam={lam}: KS p-value {result.pvalue:.5f}")
-        big = exponential_sample(derive_stream(99, i, 1), ExponentialSpec(lam, 2**16))
+        big = exponential_rows(99, i, 1, 2, ExponentialSpec(lam, 2**16))[0]
         tolerance = 3.0 * (1.0 / lam) / math.sqrt(2**16)
         if abs(big.mean() - 1.0 / lam) > tolerance:
             violations.append(f"lam={lam}: mean {big.mean():.5f} vs {1.0 / lam:.5f}")

@@ -14,13 +14,13 @@ from hurstlab.cli import (
     MAX_SIMULATE_SIZE,
     main,
 )
-from hurstlab.sampling import ExponentialSpec, derive_stream, exponential_sample
+from hurstlab.sampling import ExponentialSpec, exponential_rows
 
 
 @pytest.fixture
 def series_file(tmp_path):
     def make(length=1024, lam=1.5, seed=77, name="series.txt"):
-        sample = exponential_sample(derive_stream(seed, 0, 0), ExponentialSpec(lam, length))
+        sample = exponential_rows(seed, 0, 0, 1, ExponentialSpec(lam, length))[0]
         path = tmp_path / name
         path.write_text("# seeded exponential draws\n" + "\n".join(f"{x:.17g}" for x in sample) + "\n")
         return path
@@ -103,7 +103,7 @@ class TestEstimate:
     @pytest.mark.parametrize("method", ["all", "rsal", "dfa", "vtp"])
     def test_overflowing_squares_are_estimation_error(self, tmp_path, capsys, method):
         # finite values whose squares exceed the float64 range
-        sample = exponential_sample(derive_stream(5, 0, 0), ExponentialSpec(1.0, 256))
+        sample = exponential_rows(5, 0, 0, 1, ExponentialSpec(1.0, 256))[0]
         path = tmp_path / "huge.txt"
         path.write_text("".join(f"{x!r}\n" for x in (sample * 1e200).tolist()))
         with warnings.catch_warnings():
@@ -412,6 +412,36 @@ class TestSimulateOutputFiles:
         link = tmp_path / "report.json"
         link.symlink_to(tmp_path / "hurst_vs_lambda_dfa_iter3.csv")
         assert main(_small_grid(link)) == 2
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+    @pytest.mark.parametrize("kind", ["symlink", "hard link"])
+    def test_plot_file_linked_to_out_exits_2_before_any_cell(self, tmp_path, capsys,
+                                                             monkeypatch, kind):
+        monkeypatch.setattr("hurstlab.montecarlo.run_cell", _no_cell_may_run)
+        out = tmp_path / "report.json"
+        out.write_bytes(b"old report")
+        plot = tmp_path / "hurst_vs_lambda_vtp_iter3.csv"
+        if kind == "symlink":
+            plot.symlink_to(out)
+        else:
+            os.link(out, plot)
+        assert main(_small_grid(out)) == 2
+        assert capsys.readouterr().err == (
+            f"hurstlab: --out {out} is also the path of a plot-data file\n")
+        assert out.read_bytes() == b"old report"
+
+    def test_hard_linked_plot_files_exit_2_before_any_cell(self, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr("hurstlab.montecarlo.run_cell", _no_cell_may_run)
+        rsal = tmp_path / "hurst_vs_lambda_rsal_iter3.csv"
+        dfa = tmp_path / "hurst_vs_lambda_dfa_iter3.csv"
+        rsal.write_bytes(b"old plot")
+        os.link(rsal, dfa)
+        assert main(_small_grid(tmp_path / "report.json")) == 2
+        assert capsys.readouterr().err == (
+            f"hurstlab: plot-data files {rsal} and {dfa} are the same file\n")
+        assert rsal.read_bytes() == b"old plot"
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestExpectedRs:

@@ -23,12 +23,7 @@ from hurstlab.rs import (
     estimate_rsal,
     rsal_batch,
 )
-from hurstlab.sampling import (
-    ExponentialSpec,
-    derive_stream,
-    exponential_rows,
-    exponential_sample,
-)
+from hurstlab.sampling import ExponentialSpec, exponential_rows
 from hurstlab.vtp import estimate_vtp, vtp_batch
 from oracles import assert_results_equal
 
@@ -137,7 +132,7 @@ def test_run_cell_counts_constant_row_as_failure(monkeypatch):
     cell = SimulationCell(lam=1.0, length=128, iterations=6)
     report = run_cell(cell, 42)
     spec = ExponentialSpec(1.0, 128)
-    others = [exponential_sample(derive_stream(42, 0, k), spec) for k in (0, 1, 3, 4, 5)]
+    others = [exponential_rows(42, 0, k, k + 1, spec)[0] for k in (0, 1, 3, 4, 5)]
     for method, estimate in (("RSAL", estimate_rsal), ("DFA", estimate_dfa),
                              ("VTP", estimate_vtp)):
         stats = report.methods[method]

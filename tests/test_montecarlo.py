@@ -15,12 +15,7 @@ from hurstlab.montecarlo import (
     run_grid,
 )
 from hurstlab.rs import estimate_rsal, rsal_batch
-from hurstlab.sampling import (
-    ExponentialSpec,
-    derive_stream,
-    exponential_rows,
-    exponential_sample,
-)
+from hurstlab.sampling import ExponentialSpec, exponential_rows
 from oracles import exponential_rows_reference
 
 
@@ -142,10 +137,8 @@ class TestLambdaSharing:
         # Exponential(lam) is a 1/lam scaling of Exponential(1); with the
         # same underlying uniforms the adjusted R/S estimate is identical
         for k in range(20):
-            stream_a = derive_stream(5, 0, k)
-            stream_b = derive_stream(5, 0, k)
-            x_a = exponential_sample(stream_a, ExponentialSpec(0.1, 256))
-            x_b = exponential_sample(stream_b, ExponentialSpec(7.0, 256))
+            x_a = exponential_rows(5, 0, k, k + 1, ExponentialSpec(0.1, 256))[0]
+            x_b = exponential_rows(5, 0, k, k + 1, ExponentialSpec(7.0, 256))[0]
             np.testing.assert_allclose(x_a * 0.1, x_b * 7.0, rtol=1e-12)
             assert estimate_rsal(x_a).hurst == pytest.approx(
                 estimate_rsal(x_b).hurst, abs=1e-12

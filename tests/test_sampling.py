@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from hurstlab.errors import SeriesError
-from hurstlab.sampling import (
-    ExponentialSpec,
-    RngStream,
-    derive_stream,
-    exponential_inverse_cdf,
-    exponential_rows,
-    exponential_sample,
-)
+from hurstlab.sampling import ExponentialSpec, exponential_rows
 from oracles import exponential_rows_reference, spawn_key_uniforms
 
 GRID_LAMBDAS = (0.1, 0.5, 1.5, 3.0, 5.0, 7.0)
@@ -23,29 +16,45 @@ U64 = 2**64 - 1
 WORDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, U64]), st.integers(0, U64))
 
 
+def one_row(seed, cell_id, iteration, length, lam=1.0):
+    """One iteration's series: the one-row case of exponential_rows."""
+    return exponential_rows(seed, cell_id, iteration, iteration + 1,
+                            ExponentialSpec(lam, length))[0]
+
+
+def plant_uniforms(monkeypatch, values):
+    """Make every row's generator draw ``values``, repeated to the row length."""
+    class PlantedGenerator:
+        def random(self, out):
+            out[...] = np.resize(values, out.size)
+            return out
+
+    monkeypatch.setattr("hurstlab.sampling._generator", lambda words: PlantedGenerator())
+
+
 class TestDeriveStream:
     def test_same_coordinates_same_draws(self):
-        a = derive_stream(42, 3, 7).uniforms(100)
-        b = derive_stream(42, 3, 7).uniforms(100)
+        a = one_row(42, 3, 7, 100)
+        b = one_row(42, 3, 7, 100)
         np.testing.assert_array_equal(a, b)
 
     def test_different_iterations_differ(self):
-        a = derive_stream(42, 3, 7).uniforms(100)
-        b = derive_stream(42, 3, 8).uniforms(100)
+        a = one_row(42, 3, 7, 100)
+        b = one_row(42, 3, 8, 100)
         assert not np.array_equal(a, b)
 
     def test_different_cells_differ(self):
-        a = derive_stream(42, 3, 7).uniforms(100)
-        b = derive_stream(42, 4, 7).uniforms(100)
+        a = one_row(42, 3, 7, 100)
+        b = one_row(42, 4, 7, 100)
         assert not np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = derive_stream(1, 0, 0).uniforms(100)
-        b = derive_stream(2, 0, 0).uniforms(100)
+        a = one_row(1, 0, 0, 100)
+        b = one_row(2, 0, 0, 100)
         assert not np.array_equal(a, b)
 
     def test_negative_seed_accepted(self):
-        assert derive_stream(-1, 0, 0).uniforms(4).shape == (4,)
+        assert one_row(-1, 0, 0, 4).shape == (4,)
 
 
 class TestEqualsNumpyStreams:
@@ -73,24 +82,47 @@ class TestEqualsNumpyStreams:
     @example(seed=U64, cell_id=2**32, iteration=0)
     def test_one_row(self, seed, cell_id, iteration):
         expected = spawn_key_uniforms(seed, cell_id, iteration, 33)
-        np.testing.assert_array_equal(derive_stream(seed, cell_id, iteration).uniforms(33),
-                                      expected)
         chunk = exponential_rows(seed, cell_id, iteration, iteration + 1, ExponentialSpec(2.0, 33))
         np.testing.assert_array_equal(chunk, -np.log(expected)[None, :] / 2.0)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=WORDS, cell_id=WORDS, iteration=WORDS)
     def test_negative_coordinates_taken_mod_2_64(self, seed, cell_id, iteration):
-        expected = spawn_key_uniforms(-seed & U64, -cell_id & U64, -iteration & U64, 16)
-        np.testing.assert_array_equal(derive_stream(-seed, -cell_id, -iteration).uniforms(16),
-                                      expected)
+        expected = spawn_key_uniforms(-seed & U64, -cell_id & U64, iteration, 16)
+        np.testing.assert_array_equal(one_row(-seed, -cell_id, iteration, 16), -np.log(expected))
         chunk = exponential_rows(-seed, -cell_id, 0, 2, ExponentialSpec(1.0, 16))
         np.testing.assert_array_equal(chunk, exponential_rows_reference(
             -seed & U64, -cell_id & U64, range(2), 16, 1.0))
 
     def test_minus_one_is_top_seed(self):
-        np.testing.assert_array_equal(derive_stream(-1, 0, 0).uniforms(64),
-                                      derive_stream(U64, 0, 0).uniforms(64))
+        np.testing.assert_array_equal(one_row(-1, 0, 0, 64), one_row(U64, 0, 0, 64))
+
+
+class TestIterationRange:
+    """Iterations run over the uint64 range: 0 <= start <= stop <= 2**64."""
+
+    SPEC = ExponentialSpec(1.0, 8)
+
+    def test_stop_at_2_64_gives_the_last_iteration(self):
+        rows = exponential_rows(1, 2, U64 - 1, 2**64, self.SPEC)
+        np.testing.assert_array_equal(rows, exponential_rows_reference(1, 2, [U64 - 1, U64], 8, 1.0))
+
+    def test_stop_past_2_64_raises(self):
+        with pytest.raises(SeriesError, match=r"stop iteration 18446744073709551617 is above 2\*\*64"):
+            exponential_rows(1, 2, U64, 2**64 + 1, self.SPEC)
+
+    def test_negative_start_raises(self):
+        with pytest.raises(SeriesError, match="start iteration -1 is below 0"):
+            exponential_rows(1, 2, -1, 1, self.SPEC)
+
+    @pytest.mark.parametrize("start", [0, 7, 2**64])
+    def test_start_equal_to_stop_gives_no_rows(self, start):
+        rows = exponential_rows(1, 2, start, start, self.SPEC)
+        assert rows.shape == (0, 8) and rows.dtype == np.float64
+
+    def test_stop_below_start_raises(self):
+        with pytest.raises(SeriesError, match="stop iteration 6 is below start iteration 7"):
+            exponential_rows(1, 2, 7, 6, self.SPEC)
 
 
 class TestExponentialSpec:
@@ -104,63 +136,48 @@ class TestExponentialSpec:
 
 
 class TestExponentialSample:
-    def test_inverse_cdf_hand_value(self):
-        assert exponential_inverse_cdf(0.5, 1.0) == pytest.approx(math.log(2), abs=1e-12)
+    def test_inverse_cdf_hand_value(self, monkeypatch):
+        plant_uniforms(monkeypatch, 0.5)
+        assert one_row(0, 0, 0, 2)[0] == pytest.approx(math.log(2), abs=1e-12)
 
-    def test_stubbed_uniform_source(self):
-        class FixedGenerator:
-            def random(self, size):
-                return np.full(size, 0.5)
-
-        stream = RngStream(generator=FixedGenerator(), master_seed=0, stream_id=(0, 0))
-        sample = exponential_sample(stream, ExponentialSpec(lam=2.0, length=3))
+    def test_stubbed_uniform_source(self, monkeypatch):
+        plant_uniforms(monkeypatch, 0.5)
+        sample = one_row(0, 0, 0, 3, lam=2.0)
         np.testing.assert_allclose(sample, math.log(2) / 2.0, rtol=1e-12)
 
-    def test_zero_uniform_mapped_to_positive(self):
-        class ZeroGenerator:
-            def random(self, size):
-                return np.zeros(size)
-
-        stream = RngStream(generator=ZeroGenerator(), master_seed=0, stream_id=(0, 0))
-        sample = exponential_sample(stream, ExponentialSpec(lam=1.0, length=2))
+    def test_zero_uniform_mapped_to_positive(self, monkeypatch):
+        plant_uniforms(monkeypatch, 0.0)
+        sample = one_row(0, 0, 0, 2)
         assert np.all(np.isfinite(sample))
         assert np.all(sample > 0)
 
     def test_zero_bump_shared_by_streams_and_chunks(self, monkeypatch):
         planted = np.tile([0.0, 0.25, 0.0, 0.5], 3)
-
-        class PlantedGenerator:
-            def random(self, size=None, out=None):
-                if out is None:
-                    return planted[:size].copy()
-                out[...] = planted[:out.size]
-                return out
-
-        monkeypatch.setattr("hurstlab.sampling._generator", lambda words: PlantedGenerator())
+        plant_uniforms(monkeypatch, planted)
         bumped = np.where(planted == 0.0, np.nextafter(0.0, 1.0), planted)
-        np.testing.assert_array_equal(derive_stream(1, 2, 3).uniforms(planted.size), bumped)
+        np.testing.assert_array_equal(one_row(1, 2, 3, planted.size), -np.log(bumped))
         rows = exponential_rows(1, 2, 0, 3, ExponentialSpec(lam=2.0, length=planted.size))
         np.testing.assert_array_equal(rows, np.tile(-np.log(bumped) / 2.0, (3, 1)))
         assert np.all(np.isfinite(rows)) and np.all(rows > 0)
 
     def test_law_of_large_numbers(self):
         lam, length = 0.5, 2**16
-        sample = exponential_sample(derive_stream(9, 0, 0), ExponentialSpec(lam, length))
+        sample = one_row(9, 0, 0, length, lam)
         assert abs(sample.mean() - 2.0) <= 3.0 * 2.0 / math.sqrt(length)
 
     def test_variance_matches_analytic(self):
         lam, length = 5.0, 2**16
-        sample = exponential_sample(derive_stream(10, 0, 0), ExponentialSpec(lam, length))
+        sample = one_row(10, 0, 0, length, lam)
         assert sample.var() == pytest.approx(1.0 / lam**2, rel=0.05)
 
     @pytest.mark.parametrize("lam", GRID_LAMBDAS)
     def test_all_draws_positive_and_finite(self, lam):
-        sample = exponential_sample(derive_stream(11, 0, 0), ExponentialSpec(lam, 10**6))
+        sample = one_row(11, 0, 0, 10**6, lam)
         assert np.all(sample > 0)
         assert np.all(np.isfinite(sample))
 
     def test_ks_against_exponential_cdf(self):
         lam = 1.5
-        sample = exponential_sample(derive_stream(12, 0, 0), ExponentialSpec(lam, 10**4))
+        sample = one_row(12, 0, 0, 10**4, lam)
         result = stats.kstest(sample, "expon", args=(0, 1.0 / lam))
         assert result.pvalue > 0.001
