@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientWindows
+from .errors import (AllSubseriesDegenerate, InsufficientWindows, NonPositiveStatistic,
+                     SeriesError, ZeroFluctuation, ZeroVariance)
 from .regression import RegressionFit, fit_rows
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "LogLogFits",
     "WindowPolicy",
     "DEFAULT_POLICY",
+    "FAILURES",
     "WARN_NONSTATIONARY",
     "divisors",
     "loglog_fits",
@@ -31,6 +33,19 @@ __all__ = [
 WARN_NONSTATIONARY = "NONSTATIONARY_OR_DETREND_FAIL"
 
 MAX_WINDOW_RULES = ("half-N", "full-N")
+
+# The one failure rule. A row fails when a statistic is NaN, <= 0 or
+# infinite; its fit is then NaN, and LogLogFits.result raises the (class,
+# wording) paired here with the first of those kinds, in that order, it has.
+_OVERFLOW = (SeriesError, "statistic is not finite (float64 overflow)")
+_RS_FAILURES = ((AllSubseriesDegenerate, "every subseries has zero SD"),
+                (NonPositiveStatistic, "R/S statistic <= 0"), _OVERFLOW)
+FAILURES = {
+    "RS": _RS_FAILURES,
+    "RSAL": _RS_FAILURES,
+    "DFA": (_OVERFLOW, (ZeroFluctuation, "mean fluctuation is 0 (linear profile)"), _OVERFLOW),
+    "VTP": (_OVERFLOW, (ZeroVariance, "aggregated variance is 0"), _OVERFLOW),
+}
 
 
 @dataclass(frozen=True)
@@ -117,9 +132,9 @@ class LogLogFits:
     """Log-log regressions of a batch of equal-length series, one per row.
 
     ``statistics`` has one row per series and one column per scale of
-    ``scales``; both are read-only. A row with a NaN or non-positive
-    statistic failed: its fit and its ``hurst`` are NaN. ``hurst`` is the
-    method's mapping of ``slope``.
+    ``scales``; both are read-only. A row with a NaN, non-positive or
+    infinite statistic failed: its fit and its ``hurst`` are NaN (see
+    FAILURES). ``hurst`` is the method's mapping of ``slope``.
     """
 
     method: str
@@ -131,14 +146,21 @@ class LogLogFits:
     hurst: np.ndarray
 
     def result(self, row: int = 0, warnings: tuple[str, ...] = ()) -> EstimatorResult:
-        """The EstimatorResult of one (successful) row."""
+        """The EstimatorResult of one row. A failed row raises the error
+        FAILURES names, listing every scale of its first failure kind."""
+        stats = self.statistics[row]
+        kinds = (np.isnan(stats), stats <= 0.0, np.isinf(stats))
+        for (error, what), bad in zip(FAILURES[self.method], kinds):
+            if bad.any():
+                scale = "w" if self.method == "VTP" else "n"
+                raise error(f"{what} at {scale}={self.scales[bad].tolist()}")
         fit = RegressionFit(
             slope=float(self.slope[row]),
             intercept=float(self.intercept[row]),
             residual_rms=float(self.residual_rms[row]),
         )
         return EstimatorResult(method=self.method, hurst=float(self.hurst[row]), fit=fit,
-                               scales=self.scales, statistics=self.statistics[row],
+                               scales=self.scales, statistics=stats,
                                warnings=warnings)
 
 
@@ -146,7 +168,8 @@ def loglog_fits(method: str, scales, statistics: np.ndarray) -> LogLogFits:
     """Row-wise OLS of log(statistic) against log(scale); ``hurst`` = slope.
 
     *statistics* is (rows, len(scales)) and is made read-only. Non-positive
-    or NaN statistics have no log, so their rows come out NaN.
+    or NaN statistics have no log, and an infinite one has no finite log,
+    so their rows come out NaN.
     """
     scales = np.array(scales, dtype=np.int64)
     scales.flags.writeable = statistics.flags.writeable = False

@@ -26,7 +26,7 @@ from .base import (
     WindowPolicy,
     loglog_fits,
 )
-from .errors import WindowTooSmall, ZeroFluctuation
+from .errors import WindowTooSmall
 from .regression import COLUMN_PATH_MAX, fit_columns, fit_rows
 from .series import as_series, segment_matrix
 
@@ -72,8 +72,8 @@ def dfa_fluctuations(x: np.ndarray, windows) -> np.ndarray:
 
 
 def dfa_batch(x: np.ndarray, policy: WindowPolicy = DEFAULT_POLICY) -> LogLogFits:
-    """DFA fits of every row of *x* (rows, N); a row with a zero mean
-    fluctuation at some window fails (NaN)."""
+    """DFA fits of every row of *x* (rows, N); a row with a zero or
+    overflowing mean fluctuation at some window fails (NaN)."""
     windows = policy.windows(x.shape[-1], min_window=DFA_MIN_WINDOW)
     return loglog_fits("DFA", windows, dfa_fluctuations(x, windows))
 
@@ -81,9 +81,5 @@ def dfa_batch(x: np.ndarray, policy: WindowPolicy = DEFAULT_POLICY) -> LogLogFit
 def estimate_dfa(series, policy: WindowPolicy = DEFAULT_POLICY) -> EstimatorResult:
     """DFA Hurst estimate over the policy's window set."""
     fits = dfa_batch(as_series(series)[None, :], policy)
-    zero = fits.scales[fits.statistics[0] == 0.0]
-    if zero.size:
-        raise ZeroFluctuation(
-            f"mean fluctuation at n={zero[0]} is 0 (cumulative profile is linear)")
     warnings = (WARN_NONSTATIONARY,) if fits.slope[0] > 1.0 else ()
     return fits.result(warnings=warnings)

@@ -6,6 +6,9 @@ mean estimate and the mean square error against the true value H = 0.5
 (memoryless data has no long-range dependence). Iterations that fail inside
 an estimator are counted per method and excluded from that method's
 aggregates, so one pathological draw cannot void a 1000-iteration cell.
+Failure is a property of the data: a failed iteration is a NaN row of the
+method's batch. A configuration the method cannot estimate is not counted:
+its error (``InsufficientWindows``, say) propagates from the first chunk.
 
 The harness defaults to the sample-SD rescaled range (see
 :mod:`hurstlab.rs`): that is the convention under which the adjusted
@@ -30,7 +33,7 @@ import numpy as np
 from . import __version__
 from .base import DEFAULT_POLICY, WindowPolicy
 from .dfa import dfa_batch
-from .errors import CellFailed, EmptyEstimates, HurstLabError
+from .errors import CellFailed, EmptyEstimates
 from .rs import rsal_batch
 from .sampling import GENERATOR_NAME, ExponentialSpec, exponential_rows
 from .vtp import vtp_batch
@@ -155,9 +158,12 @@ def run_cell(cell: SimulationCell, master_seed: int,
              sd_mode: str = "sample", vtp_divisors_only: bool = False) -> CellReport:
     """Run one cell: draw, estimate, aggregate.
 
-    A series on which an estimator fails counts as a failure of that
+    A series on which an estimator fails (a NaN row of its batch, by the
+    rule of :data:`hurstlab.base.FAILURES`) counts as a failure of that
     method and is left out of its aggregates. Raises CellFailed if some
-    method failed on every iteration.
+    method failed on every iteration. A configuration that a method cannot
+    estimate at all (no usable windows or block sizes, say) raises that
+    method's error from the first chunk, before the rest is drawn.
     """
     spec = ExponentialSpec(cell.lam, cell.length)
     batches = (
@@ -171,10 +177,7 @@ def run_cell(cell: SimulationCell, master_seed: int,
         stop = min(start + step, cell.iterations)
         x = exponential_rows(master_seed, cell_id, start, stop, spec)
         for j, batch in enumerate(batches):
-            try:
-                estimates[start:stop, j] = batch(x).hurst
-            except HurstLabError:
-                pass  # the configuration itself is unusable: every row fails
+            estimates[start:stop, j] = batch(x).hurst
 
     methods = {}
     for j, method in enumerate(METHODS):

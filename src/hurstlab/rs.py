@@ -33,7 +33,7 @@ from .base import (
     WindowPolicy,
     loglog_fits,
 )
-from .errors import AllSubseriesDegenerate, InvalidWindow, NonPositiveStatistic
+from .errors import InvalidWindow
 from .regression import COLUMN_PATH_MAX, column_sum
 from .series import _ddof, as_series, segment_matrix
 
@@ -97,13 +97,6 @@ def rs_statistics(x: np.ndarray, windows, sd_mode: str) -> np.ndarray:
     return out
 
 
-def _raise_degenerate(n_obs: int, windows, stats: np.ndarray) -> None:
-    for n, value in zip(windows, stats):
-        if math.isnan(value):
-            raise AllSubseriesDegenerate(
-                f"all {n_obs // n} subseries at n={n} have zero SD")
-
-
 @lru_cache(maxsize=None)
 def expected_rs(n: int) -> float:
     """Small-sample expectation E(R/S)_n of the rescaled range for i.i.d. data.
@@ -131,22 +124,13 @@ def _adjust(stats: np.ndarray, windows) -> np.ndarray:
     return stats - expected + asymptote
 
 
-def _raise_non_positive(windows, adjusted: np.ndarray) -> None:
-    """Raise NonPositiveStatistic if a corrected value is <= 0 (its log
-    would be undefined). With E(R/S)_n < sqrt(0.5*pi*n), which holds
-    throughout the supported range, this cannot happen for real R/S values;
-    the check guards pathological or synthetic inputs."""
-    bad = windows[adjusted <= 0.0].tolist()
-    if bad:
-        raise NonPositiveStatistic(f"adjusted R/S <= 0 at n={bad}; cannot take logs")
-
-
 def rsal_batch(x: np.ndarray, policy: WindowPolicy = DEFAULT_POLICY,
                sd_mode: str = "sample") -> LogLogFits:
     """R/Sal fits of every row of *x* (rows, N); failed rows are NaN.
 
     A row fails when every subseries of some window has zero SD (NaN
-    statistic) or an adjusted value is <= 0.
+    statistic) or an adjusted value is <= 0, which E(R/S)_n < sqrt(0.5*pi*n)
+    rules out for real R/S values throughout the supported range.
     """
     windows = policy.windows(x.shape[-1])
     return loglog_fits("RSAL", windows, _adjust(rs_statistics(x, windows, sd_mode), windows))
@@ -163,17 +147,11 @@ def estimate_rs(series, policy: WindowPolicy = DEFAULT_POLICY,
     """
     arr = as_series(series)
     windows = policy.windows(arr.shape[0])
-    fits = loglog_fits("RS", windows, rs_statistics(arr[None, :], windows, sd_mode))
-    _raise_degenerate(arr.shape[0], fits.scales, fits.statistics[0])
-    return fits.result()
+    return loglog_fits("RS", windows, rs_statistics(arr[None, :], windows, sd_mode)).result()
 
 
 def estimate_rsal(series, policy: WindowPolicy = DEFAULT_POLICY,
                   sd_mode: str = "sample") -> EstimatorResult:
     """Adjusted rescaled range (R/Sal) estimate; see :func:`estimate_rs`
     for the sd_mode default."""
-    arr = as_series(series)
-    fits = rsal_batch(arr[None, :], policy, sd_mode)
-    _raise_degenerate(arr.shape[0], fits.scales, fits.statistics[0])
-    _raise_non_positive(fits.scales, fits.statistics[0])
-    return fits.result()
+    return rsal_batch(as_series(series)[None, :], policy, sd_mode).result()

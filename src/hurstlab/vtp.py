@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .base import EstimatorResult, LogLogFits, loglog_fits
-from .errors import InsufficientScales, ScaleTooLarge, ZeroVariance
+from .errors import InsufficientScales, ScaleTooLarge
 from .series import as_series
 
 __all__ = [
@@ -99,8 +99,9 @@ def scale_variances(x: np.ndarray, ws: tuple[int, ...]) -> np.ndarray:
 
 
 def vtp_batch(x: np.ndarray, scales=None, divisors_only: bool = False) -> LogLogFits:
-    """VTP fits of every row of *x* (rows, N); a row with a zero variance
-    at some block size fails (NaN). See :func:`estimate_vtp`."""
+    """VTP fits of every row of *x* (rows, N); a row with a zero or
+    overflowing variance at some block size fails (NaN). See
+    :func:`estimate_vtp`."""
     n_obs = x.shape[-1]
     if scales is None:
         ws = _default_ws(n_obs, divisors_only)
@@ -129,8 +130,4 @@ def estimate_vtp(series, scales=None, divisors_only: bool = False) -> EstimatorR
     mean estimates of 0.40-0.42 at those lengths. No correction is
     applied.
     """
-    fits = vtp_batch(as_series(series)[None, :], scales, divisors_only)
-    zero = fits.scales[fits.statistics[0] == 0.0].tolist()
-    if zero:
-        raise ZeroVariance(f"aggregated variance is 0 at w={zero}; cannot take logs")
-    return fits.result()
+    return vtp_batch(as_series(series)[None, :], scales, divisors_only).result()

@@ -169,12 +169,19 @@ class TestSimulate:
             "--min-window", "8",
         ]) == 3
 
-    def test_size_without_vtp_scales_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("size", [3, 127])
+    def test_size_without_windows_exits_3_with_insufficient_windows(self, tmp_path, capsys,
+                                                                    size):
+        # R/Sal's window set is the first to fail: no divisor of N in [2, N/2]
+        out = tmp_path / "r.json"
         assert main([
-            "simulate", "--lambdas", "0.5", "--sizes", "3",
-            "--iteration-counts", "3", "--out", str(tmp_path / "r.json"),
+            "simulate", "--lambdas", "0.5", "--sizes", str(size),
+            "--iteration-counts", "3", "--out", str(out),
         ]) == 3
-        assert "CellFailed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("hurstlab: InsufficientWindows: ")
+        assert f"N={size} " in err
+        assert not out.exists()
 
     def test_unwritable_output_exits_4(self, tmp_path):
         out = tmp_path / "missing-dir" / "report.json"

@@ -5,7 +5,12 @@ import pytest
 
 from hurstlab.base import WARN_NONSTATIONARY
 from hurstlab.dfa import dfa_fluctuations, estimate_dfa
-from hurstlab.errors import InsufficientWindows, WindowTooSmall, ZeroFluctuation
+from hurstlab.errors import (
+    InsufficientWindows,
+    SeriesError,
+    WindowTooSmall,
+    ZeroFluctuation,
+)
 from oracles import dfa_fluctuation_reference, fluctuation_reference
 
 
@@ -42,7 +47,8 @@ class TestDetrendedFluctuation:
 class TestDfaStatistic:
     def test_constant_series_zero_fluctuation(self):
         assert _fluct([3.0] * 16, [4, 8]).tolist() == [0.0, 0.0]
-        with pytest.raises(ZeroFluctuation, match="n=4"):
+        with pytest.raises(ZeroFluctuation,
+                           match=r"^mean fluctuation is 0 \(linear profile\) at n=\[4, 8\]$"):
             estimate_dfa([3.0] * 16)
 
     def test_repeated_alternating_blocks(self):
@@ -89,6 +95,14 @@ class TestEstimateDfa:
     def test_zero_fluctuation_propagates(self):
         with pytest.raises(ZeroFluctuation):
             estimate_dfa([2.0] * 64)
+
+    def test_overflowing_fluctuations_raise(self, exp_series):
+        # profiles of values near 1e200 square past the float64 range at
+        # every window; the estimate used to come back as NaN
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                SeriesError, match=r"^statistic is not finite \(float64 overflow\) "
+                                   r"at n=\[4, 8, 16, 32, 64, 128\]$"):
+            estimate_dfa(exp_series(256, seed=47) * 1e200)
 
     def test_nonstationary_warning_above_one(self, monkeypatch):
         # fixture: every (log n, log F(n)) on an exact slope-1.2 line

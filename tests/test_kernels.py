@@ -10,10 +10,11 @@ along the last axis, ``fit_rows`` among them, bit for bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurstlab.base import DEFAULT_POLICY, WindowPolicy
+from hurstlab.base import DEFAULT_POLICY, FAILURES, WindowPolicy
 from hurstlab.dfa import _fluctuations, dfa_batch, estimate_dfa
 from hurstlab.montecarlo import SimulationCell, mse, run_cell
 from hurstlab.regression import COLUMN_PATH_MAX, fit_columns, fit_rows
@@ -120,6 +121,41 @@ def test_constant_row_fails_alone(n_obs, seed, position, level):
         assert np.isnan(hurst[position])
         np.testing.assert_array_equal(np.delete(hurst, position), batch(x).hurst)
         assert np.isfinite(batch(x).hurst).all()
+
+
+def _mixed_matrix(seed: int, rows: int, n_obs: int) -> np.ndarray:
+    """Exponential rows mixed with constant rows, affine rows, rows that
+    are constant after the first value of each 4-value window (their DFA
+    profile is linear at n = 4) and one exponential row scaled by 1e200."""
+    rng = np.random.default_rng(seed)
+    x = rng.exponential(size=(rows, n_obs))
+    kind = rng.integers(0, 4, rows)
+    x[kind == 1] = rng.choice([0.0, -0.0, 2.5, -7e5], ((kind == 1).sum(), 1))
+    intercept, slope = rng.normal(size=(2, (kind == 2).sum(), 1)) * 100.0
+    x[kind == 2] = intercept + slope * np.arange(n_obs)
+    x[kind == 3] = np.where(np.arange(n_obs) % 4 == 0, x[kind == 3], 1.5)
+    x[rng.integers(rows)] = rng.exponential(size=n_obs) * 1e200
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_obs=st.sampled_from([64, 100, 128, 256]),
+    rows=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_result_raises_exactly_for_nan_rows(n_obs, rows, seed):
+    x = _mixed_matrix(seed, rows, n_obs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batches = rsal_batch(x), dfa_batch(x), vtp_batch(x)
+    for fits in batches:
+        errors = tuple({error for error, _ in FAILURES[fits.method]})
+        for k in range(rows):
+            if np.isnan(fits.hurst[k]):
+                with pytest.raises(errors):
+                    fits.result(k)
+            else:
+                assert np.isfinite(fits.result(k).hurst)
 
 
 def test_run_cell_counts_constant_row_as_failure(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hurstlab.base import WindowPolicy
-from hurstlab.errors import CellFailed, EmptyEstimates
+from hurstlab.errors import CellFailed, EmptyEstimates, InsufficientWindows
 from hurstlab.montecarlo import (
     METHODS,
     SimulationCell,
@@ -79,11 +79,31 @@ class TestRunCell:
         assert abs(stats.mean_hurst - 0.5) < 0.015
         assert 0.0002 <= stats.mse <= 0.0010
 
-    def test_cell_failed_when_no_windows(self):
-        # divisors of 12 in [8, 6] is empty, so R/S and DFA never succeed
+    def test_no_windows_raises_insufficient_windows_from_first_chunk(self, monkeypatch):
+        # divisors of 12 in [8, 6] is empty: the configuration, not the
+        # data, fails, so its own error stops the cell at the first chunk
+        chunks = []
+
+        def counted(master_seed, cell_id, start, stop, spec):
+            chunks.append(start)
+            return exponential_rows(master_seed, cell_id, start, stop, spec)
+
+        monkeypatch.setattr("hurstlab.montecarlo.exponential_rows", counted)
+        monkeypatch.setattr("hurstlab.montecarlo.CHUNK_ELEMENTS", 12)
         cell = SimulationCell(lam=1.0, length=12, iterations=3)
-        with pytest.raises(CellFailed):
+        with pytest.raises(InsufficientWindows, match="N=12"):
             run_cell(cell, 42, WindowPolicy(min_window=8))
+        assert chunks == [0]
+
+    def test_cell_failed_when_every_row_fails(self, monkeypatch):
+        def failed(x, policy, sd_mode):
+            fits = rsal_batch(x, policy, sd_mode)
+            return replace(fits, hurst=np.full_like(fits.hurst, np.nan))
+
+        monkeypatch.setattr("hurstlab.montecarlo.rsal_batch", failed)
+        cell = SimulationCell(lam=1.0, length=64, iterations=9)
+        with pytest.raises(CellFailed, match="RSAL failed on all 9 iterations"):
+            run_cell(cell, 42)
 
     def test_partial_failures_counted_and_excluded(self, monkeypatch):
         seen = {"rows": 0}

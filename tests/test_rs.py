@@ -52,7 +52,8 @@ class TestRsStatistic:
 
     def test_constant_series_degenerate(self):
         assert np.isnan(_rs([3.0] * 8, [2, 4])).all()
-        with pytest.raises(AllSubseriesDegenerate, match="all 4 subseries at n=2"):
+        with pytest.raises(AllSubseriesDegenerate,
+                           match=r"^every subseries has zero SD at n=\[2, 4\]$"):
             estimate_rs([3.0] * 8)
 
     def test_whole_series_window(self, exp_series):
@@ -131,7 +132,7 @@ class TestAdjustRsPoints:
             "hurstlab.rs.rs_statistics",
             lambda x, windows, sd_mode: np.array([[1.0, 1.0, -9.0]]),
         )
-        with pytest.raises(NonPositiveStatistic, match="n=\\[8\\]"):
+        with pytest.raises(NonPositiveStatistic, match=r"^R/S statistic <= 0 at n=\[8\]$"):
             estimate_rsal(np.arange(16.0))
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hurstlab.errors import InsufficientScales, ScaleTooLarge, ZeroVariance
+from hurstlab.errors import InsufficientScales, ScaleTooLarge, SeriesError, ZeroVariance
 from hurstlab.vtp import _default_ws, _gather_plan, estimate_vtp, scale_variances
 from oracles import (
     aggregated_variance_reference,
@@ -46,7 +46,7 @@ class TestAggregatedVariance:
 
     def test_constant_series(self):
         assert _var([5.0] * 8, [1, 2]).tolist() == [0.0, 0.0]
-        with pytest.raises(ZeroVariance, match="w=\\[1, 2\\]"):
+        with pytest.raises(ZeroVariance, match=r"^aggregated variance is 0 at w=\[1, 2\]$"):
             estimate_vtp([5.0] * 8, scales=[1, 2])
 
     def test_scale_one_is_population_variance(self):
@@ -162,6 +162,15 @@ class TestEstimateVtp:
     def test_zero_variance_propagates(self):
         with pytest.raises(ZeroVariance):
             estimate_vtp([2.0] * 64)
+
+    def test_overflowing_variances_raise(self, exp_series):
+        # block means near 1e200 square past the float64 range at every
+        # block size; the estimate used to come back as NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SeriesError) as excinfo:
+                estimate_vtp(exp_series(256, seed=47) * 1e200)
+        assert str(excinfo.value) == (
+            f"statistic is not finite (float64 overflow) at w={list(range(1, 65))}")
 
     def test_affine_invariance(self, exp_series):
         series = exp_series(256, seed=46)
