@@ -1,5 +1,5 @@
 """Microseconds per series of the draw and of the R/Sal, DFA and VTP kernels,
-and milliseconds per one-cell ``simulate`` call.
+milliseconds per cold VTP estimate and per one-cell ``simulate`` call.
 
 Usage, from anywhere:
 
@@ -15,6 +15,11 @@ three kernels replaced by a stub: what is left is deriving and sampling the
 chunk's streams, plus the aggregation of one cell. It prints the rows per
 chunk of each length on stderr, and on stdout one JSON line with those rows
 and the median call time divided by the row count.
+
+The ``vtp_cold.N32768`` rows time ``estimate_vtp`` on one exponential
+series of 32768 values with VTP's gather-plan cache emptied before each
+call, in milliseconds per call, and give the ``tracemalloc`` peak of one
+more such call, made untimed, in MiB.
 
 The ``simulate_rewrite`` and ``simulate_fresh`` rows time one
 ``hurstlab.cli.main(["simulate", ...])`` call of one cell (rate 1.5,
@@ -38,11 +43,13 @@ import os
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr
 from pathlib import Path
 from types import SimpleNamespace
 
 LENGTHS = (128, 1024)
+COLD_VTP_LENGTH = 32768
 
 
 def main() -> int:
@@ -58,11 +65,11 @@ def main() -> int:
     sys.path.insert(0, str(args.root.resolve() / "src"))
     import numpy as np
 
-    from hurstlab import montecarlo
+    from hurstlab import montecarlo, vtp
     from hurstlab.cli import main as cli_main
     from hurstlab.dfa import dfa_batch
     from hurstlab.rs import rsal_batch
-    from hurstlab.vtp import vtp_batch
+    from hurstlab.vtp import estimate_vtp, vtp_batch
 
     def median_s(call) -> float:
         call()
@@ -96,6 +103,19 @@ def main() -> int:
         for kernel in (rsal_batch, dfa_batch, vtp_batch):
             metrics[f"{kernel.__name__}.N{n_obs}.us_per_series"] = us_per_series(
                 lambda: kernel(x), rows[n_obs])
+
+    series = rng.exponential(size=COLD_VTP_LENGTH)
+
+    def cold_vtp() -> None:
+        vtp._gather_plan.cache_clear()
+        estimate_vtp(series)
+
+    cold = f"vtp_cold.N{COLD_VTP_LENGTH}"
+    metrics[f"{cold}.ms_per_call"] = median_s(cold_vtp) * 1e3
+    tracemalloc.start()
+    cold_vtp()
+    metrics[f"{cold}.peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
 
     def simulate(directory: Path) -> None:
         argv = ["simulate", "--lambdas", "1.5", "--sizes", "128", "--iteration-counts",

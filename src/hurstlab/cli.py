@@ -74,8 +74,9 @@ MIN_CLI_OBSERVATIONS = 16
 # expected-rs rows cost O(n) time and memory; the library function is unbounded.
 MAX_EXPECTED_RS_N = 10**6
 MAX_EXPECTED_RS_ROWS = 1000
-# simulate builds a cell's VTP gather plan, which grows as N log N, at the
-# cell's first VTP batch; at this length the plan takes about 20 ms and 22 MiB.
+# An iteration's time grows as N log N (VTP's blocks); at this length one takes
+# about 40 ms through the three estimators, and VTP's working arrays, which
+# grow as N, peak near 3 MiB.
 MAX_SIMULATE_SIZE = 65536
 # A cell holds three float64 estimates per iteration (24 MB at this count)
 # and takes about 100 s at N = 128; far larger counts fail to allocate.

@@ -8,10 +8,12 @@ divisors of N: a trailing remainder of fewer than w observations is simply
 discarded. Block sizes up to N/2 are accepted; the default regression set
 stops at N/4 (see :func:`_default_ws`).
 
-Block means for all scales of a (rows, N) batch of series are computed in a
-single pass from the row-wise cumulative sums, with the gather/segment
-index arrays cached per series length; :func:`vtp_batch` is what the
-simulation grid runs, and :func:`estimate_vtp` is its one-row case.
+Block means of a (rows, N) batch of series are differences of the row-wise
+cumulative sums, gathered one group of scales at a time. The blocks of all
+default scales number about N ln(N/4) per row, but a group holds at most
+about :data:`GROUP_BLOCKS` plus N of them, so the working memory is O(N);
+only per-scale arrays are cached per series length. :func:`vtp_batch` is
+what the simulation grid runs, and :func:`estimate_vtp` is its one-row case.
 """
 
 from __future__ import annotations
@@ -63,19 +65,28 @@ def _check_scale(n_obs: int, w) -> int:
     return w
 
 
+# Scales are taken in groups of about this many blocks per row, so that a
+# call holds the per-block arrays of one group at a time, never of all scales.
+GROUP_BLOCKS = 16384
+
+
 @lru_cache(maxsize=16)
 def _gather_plan(n_obs: int, ws: tuple[int, ...]):
-    """Index arrays that turn one padded cumsum into all blocks of all scales.
+    """Per-scale block sizes, block counts and segment starts, and the
+    bounds of the scale groups.
 
-    Block k of scale w spans [k * w, (k + 1) * w); the blocks of each scale
-    form one contiguous segment, starting at ``seg_starts``.
+    The blocks of each scale form one segment of the sequence of all
+    blocks, starting at ``seg_starts``. A new group starts at a scale whose
+    segment start reaches the next multiple of :data:`GROUP_BLOCKS`, and at
+    a scale with more blocks than that, which is then a group by itself.
+    Group g is the scales ``bounds[g]:bounds[g + 1]``.
     """
     w = np.array(ws, dtype=np.int64)
     nb = n_obs // w
     seg_starts = np.cumsum(nb) - nb
-    block_w = np.repeat(w, nb)
-    starts = block_w * (np.arange(block_w.size) - np.repeat(seg_starts, nb))
-    return starts, starts + block_w, block_w.astype(float), seg_starts, nb.astype(float)
+    first = np.ones(w.size, dtype=bool)
+    first[1:] = (np.diff(seg_starts // GROUP_BLOCKS) > 0) | (nb[1:] > GROUP_BLOCKS)
+    return w, nb, seg_starts, [*np.flatnonzero(first).tolist(), w.size]
 
 
 def scale_variances(x: np.ndarray, ws: tuple[int, ...]) -> np.ndarray:
@@ -86,16 +97,30 @@ def scale_variances(x: np.ndarray, ws: tuple[int, ...]) -> np.ndarray:
     about the sample mean of the ORIGINAL series (for divisor w it
     coincides with the mean of the block means), with the block count as
     the denominator. Returns a (rows, len(ws)) matrix.
+
+    Block k of scale w ends at (k + 1) * w, and its sum is a difference of
+    the row-wise cumsum. The blocks are gathered one group of scales at a
+    time (see :func:`_gather_plan`), so no per-block array outlives a group.
     """
-    starts, ends, widths, seg_starts, counts = _gather_plan(x.shape[-1], ws)
+    w, nb, seg_starts, bounds = _gather_plan(x.shape[-1], ws)
     cs = np.zeros((x.shape[0], x.shape[-1] + 1))
     np.cumsum(x, axis=-1, out=cs[:, 1:])
-    sq = cs[:, ends]
-    sq -= cs[:, starts]
-    sq /= widths
-    sq -= x.sum(axis=-1, keepdims=True) / x.shape[-1]
-    sq *= sq
-    return np.add.reduceat(sq, seg_starts, axis=-1) / counts
+    mean = x.sum(axis=-1, keepdims=True) / x.shape[-1]
+    out = np.empty((x.shape[0], w.size))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        seg = seg_starts[lo:hi] - seg_starts[lo]
+        block_w = np.repeat(w[lo:hi], nb[lo:hi])
+        ends = np.arange(1, block_w.size + 1)
+        ends -= np.repeat(seg, nb[lo:hi])
+        ends *= block_w
+        sq = cs.take(ends, axis=1)
+        ends -= block_w
+        sq -= cs.take(ends, axis=1)
+        sq /= block_w
+        sq -= mean
+        sq *= sq
+        out[:, lo:hi] = np.add.reduceat(sq, seg, axis=-1) / nb[lo:hi]
+    return out
 
 
 def vtp_batch(x: np.ndarray, scales=None, divisors_only: bool = False) -> LogLogFits:

@@ -129,29 +129,24 @@ def read_series_reference(path) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def gather_plan_reference(n_obs: int, ws: tuple[int, ...]):
-    """VTP's gather plan built one scale at a time: for each block size w,
-    the start and end of its floor(N/w) blocks, their width, the offset of
-    the scale's segment and its block count."""
-    starts, ends, widths = [], [], []
-    seg_starts, counts = [], []
-    pos = 0
-    for w in ws:
-        nb = n_obs // w
-        edges = w * np.arange(nb + 1)
-        starts.append(edges[:-1])
-        ends.append(edges[1:])
-        widths.append(np.full(nb, float(w)))
-        seg_starts.append(pos)
-        counts.append(nb)
-        pos += nb
-    return (
-        np.concatenate(starts),
-        np.concatenate(ends),
-        np.concatenate(widths),
-        np.array(seg_starts),
-        np.array(counts, dtype=float),
-    )
+def scale_variances_reference(x: np.ndarray, ws) -> np.ndarray:
+    """VTP variances of each row of *x* (rows, N), one block size at a time.
+
+    The floor(N/w) block sums at size w are differences of two strided
+    slices of the zero-padded row-wise cumsum; each is divided by w, has
+    the row mean subtracted and is squared, and numpy's segment sum over
+    all of them, divided by their count, is the variance. These are the
+    package's operations in the package's order, so the bytes must match.
+    """
+    cs = np.zeros((x.shape[0], x.shape[-1] + 1))
+    np.cumsum(x, axis=-1, out=cs[:, 1:])
+    mean = x.sum(axis=-1, keepdims=True) / x.shape[-1]
+    out = np.empty((x.shape[0], len(ws)))
+    for i, w in enumerate(ws):
+        nb = x.shape[-1] // w
+        dev = (cs[:, w::w][:, :nb] - cs[:, ::w][:, :nb]) / w - mean
+        out[:, i] = np.add.reduceat(dev * dev, [0], axis=-1)[:, 0] / nb
+    return out
 
 
 def estimates_json_reference(results, input_path: str, n_observations: int,

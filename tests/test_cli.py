@@ -249,8 +249,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("size", [MAX_SIMULATE_SIZE + 1, 10**9])
     def test_size_limit_exits_2_before_any_plan(self, tmp_path, capsys, monkeypatch, size):
-        # a cell builds its VTP gather plan, N log N indices, at its first
-        # VTP batch
+        # the limit is checked before any cell runs, so no plan is built
         monkeypatch.setattr("hurstlab.montecarlo.run_cell", _no_cell_may_run)
         assert main([
             "simulate", "--lambdas", "0.5", "--sizes", "64", str(size),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from hurstlab.vtp import _default_ws, _gather_plan, estimate_vtp, scale_variance
 from oracles import (
     aggregated_variance_reference,
     assert_results_equal,
-    gather_plan_reference,
+    scale_variances_reference,
     vtp_mean_shift,
 )
 
@@ -67,31 +69,42 @@ class TestAggregatedVariance:
             assert _var(a * series, [4])[0] == pytest.approx(a * a * base, rel=1e-12)
 
 
-class TestGatherPlan:
-    """The vectorised plan against the per-scale loop it replaced."""
+def _mixed_rows(n_obs: int, seed: int) -> np.ndarray:
+    """Exponential rows of magnitudes from 1e-3 to 1e6, plus one constant
+    row and one row of -0.0."""
+    rng = np.random.default_rng(seed)
+    x = rng.exponential(size=(5, n_obs)) * 10.0 ** rng.integers(-3, 7, (5, 1))
+    x[3] = 2.5
+    x[4] = -0.0
+    return x
+
+
+class TestScaleVariancesOracle:
+    """Grouped gathers against the per-scale loop, bit for bit."""
 
     @staticmethod
-    def _assert_plan_equal(n_obs, ws):
-        plan = _gather_plan(n_obs, ws)
-        for got, want in zip(plan, gather_plan_reference(n_obs, ws), strict=True):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+    def _assert_bits_equal(x, ws):
+        got = scale_variances(x, ws)
+        want = scale_variances_reference(x, ws)
+        assert got.shape == want.shape == (x.shape[0], len(ws))
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("divisors_only", [False, True])
     def test_default_scales_match_loop(self, divisors_only):
-        for n_obs in [*range(4, 301), 32768]:
-            self._assert_plan_equal(n_obs, _default_ws(n_obs, divisors_only))
+        # N <= 300 is one group of scales, 3072 two and 32768 many
+        for n_obs in [*range(4, 301), 3072, 32768]:
+            self._assert_bits_equal(_mixed_rows(n_obs, n_obs),
+                                    _default_ws(n_obs, divisors_only))
 
     def test_any_valid_scales_match_loop(self):
-        self._assert_plan_equal(100, tuple(range(1, 51)))
-        self._assert_plan_equal(97, (48, 3, 3, 1))
+        self._assert_bits_equal(_mixed_rows(100, 1), tuple(range(1, 51)))
+        self._assert_bits_equal(_mixed_rows(97, 2), (48, 3, 3, 1))
 
     @pytest.mark.parametrize("n_obs", [2, 3])
-    def test_no_default_scale_gives_empty_plan(self, n_obs):
+    def test_no_default_scale_gives_empty_matrix(self, n_obs):
         for divisors_only in (False, True):
             assert _default_ws(n_obs, divisors_only) == ()
-            plan = _gather_plan(n_obs, ())
-            assert [a.size for a in plan] == [0, 0, 0, 0, 0]
+            assert scale_variances(_mixed_rows(n_obs, 3), ()).shape == (5, 0)
 
 
 class TestAggregationScales:
@@ -108,6 +121,19 @@ class TestAggregationScales:
 
 
 class TestEstimateVtp:
+    def test_cold_call_peak_memory_is_linear(self):
+        # the per-block arrays of all scales (about N ln(N/4) blocks) took
+        # 54x the input at this length; one group at a time takes about 7x
+        x = np.random.default_rng(4).exponential(size=65536)
+        _gather_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            estimate_vtp(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * x.nbytes
+
     def test_exact_iid_variance_law(self, monkeypatch):
         # fixture: Var = c/w exactly at every scale, so beta = 1 and H = 0.5
         monkeypatch.setattr(
