@@ -9,11 +9,12 @@ discarded. Block sizes up to N/2 are accepted; the default regression set
 stops at N/4 (see :func:`_default_ws`).
 
 Block means of a (rows, N) batch of series are differences of the row-wise
-cumulative sums, gathered one group of scales at a time. The blocks of all
-default scales number about N ln(N/4) per row, but a group holds at most
-about :data:`GROUP_BLOCKS` plus N of them, so the working memory is O(N);
-only per-scale arrays are cached per series length. :func:`vtp_batch` is
-what the simulation grid runs, and :func:`estimate_vtp` is its one-row case.
+cumulative sums. The default scales have about N ln(N/4) blocks per row;
+they are gathered one group of scales at a time, and a group holds fewer
+than 2 * :data:`GROUP_BLOCKS` blocks per row or the blocks of one scale, so
+the working memory is O(N). Only per-scale arrays are cached per series
+length. :func:`vtp_batch` is what the simulation grid runs, and
+:func:`estimate_vtp` is its one-row case.
 """
 
 from __future__ import annotations
