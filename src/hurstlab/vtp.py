@@ -66,8 +66,7 @@ def _check_scale(n_obs: int, w) -> int:
     return w
 
 
-# Scales are taken in groups of about this many blocks per row, so that a
-# call holds the per-block arrays of one group at a time, never of all scales.
+# About this many blocks per row are gathered at once (see _gather_plan).
 GROUP_BLOCKS = 16384
 
 
@@ -99,9 +98,8 @@ def scale_variances(x: np.ndarray, ws: tuple[int, ...]) -> np.ndarray:
     coincides with the mean of the block means), with the block count as
     the denominator. Returns a (rows, len(ws)) matrix.
 
-    Block k of scale w ends at (k + 1) * w, and its sum is a difference of
-    the row-wise cumsum. The blocks are gathered one group of scales at a
-    time (see :func:`_gather_plan`), so no per-block array outlives a group.
+    Block k of scale w spans [k * w, (k + 1) * w); its sum is a difference
+    of the row-wise cumsum, gathered one group of scales at a time.
     """
     w, nb, seg_starts, bounds = _gather_plan(x.shape[-1], ws)
     cs = np.zeros((x.shape[0], x.shape[-1] + 1))
