@@ -1,5 +1,6 @@
 """Microseconds per series of the draw and of the R/Sal, DFA and VTP kernels,
-milliseconds per cold VTP estimate and per one-cell ``simulate`` call.
+milliseconds per cold VTP estimate, per estimate document and per one-cell
+``simulate`` call.
 
 Usage, from anywhere:
 
@@ -16,10 +17,14 @@ chunk's streams, plus the aggregation of one cell. It prints the rows per
 chunk of each length on stderr, and on stdout one JSON line with those rows
 and the median call time divided by the row count.
 
-The ``vtp_cold.N32768`` rows time ``estimate_vtp`` on one exponential
-series of 32768 values with VTP's gather-plan cache emptied before each
-call, in milliseconds per call, and give the ``tracemalloc`` peak of one
-more such call, made untimed, in MiB.
+The ``N32768`` rows use one exponential series of 32768 values, the
+length of a long single-series estimate. ``rsal_batch`` and ``dfa_batch``
+are timed on it as a one-row batch, in microseconds per call.
+``vtp_cold.N32768`` times ``estimate_vtp`` on it with VTP's gather-plan
+cache emptied before each call, in milliseconds per call, and gives the
+``tracemalloc`` peak of one more such call, made untimed, in MiB.
+``estimates_to_json.N32768`` times the JSON document of its R/Sal, DFA and
+VTP estimates (8192 VTP points among them), in milliseconds per call.
 
 The ``simulate_rewrite`` and ``simulate_fresh`` rows time one
 ``hurstlab.cli.main(["simulate", ...])`` call of one cell (rate 1.5,
@@ -49,7 +54,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 LENGTHS = (128, 1024)
-COLD_VTP_LENGTH = 32768
+LONG_LENGTH = 32768
 
 
 def main() -> int:
@@ -67,8 +72,9 @@ def main() -> int:
 
     from hurstlab import montecarlo, vtp
     from hurstlab.cli import main as cli_main
-    from hurstlab.dfa import dfa_batch
-    from hurstlab.rs import rsal_batch
+    from hurstlab.dfa import dfa_batch, estimate_dfa
+    from hurstlab.report import estimates_to_json
+    from hurstlab.rs import estimate_rsal, rsal_batch
     from hurstlab.vtp import estimate_vtp, vtp_batch
 
     def median_s(call) -> float:
@@ -104,18 +110,27 @@ def main() -> int:
             metrics[f"{kernel.__name__}.N{n_obs}.us_per_series"] = us_per_series(
                 lambda: kernel(x), rows[n_obs])
 
-    series = rng.exponential(size=COLD_VTP_LENGTH)
+    series = rng.exponential(size=LONG_LENGTH)
+    for kernel in (rsal_batch, dfa_batch):
+        metrics[f"{kernel.__name__}.N{LONG_LENGTH}.us_per_series"] = us_per_series(
+            lambda: kernel(series[None, :]), 1)
 
     def cold_vtp() -> None:
         vtp._gather_plan.cache_clear()
         estimate_vtp(series)
 
-    cold = f"vtp_cold.N{COLD_VTP_LENGTH}"
+    cold = f"vtp_cold.N{LONG_LENGTH}"
     metrics[f"{cold}.ms_per_call"] = median_s(cold_vtp) * 1e3
     tracemalloc.start()
     cold_vtp()
     metrics[f"{cold}.peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
+
+    results = [estimate_rsal(series), estimate_dfa(series), estimate_vtp(series)]
+    options = {"method": "all", "min_window": 2, "max_window_rule": "half-N",
+               "sd_mode": "sample", "vtp_divisors_only": False}
+    metrics[f"estimates_to_json.N{LONG_LENGTH}.ms_per_call"] = median_s(
+        lambda: estimates_to_json(results, "series.txt", LONG_LENGTH, options)) * 1e3
 
     def simulate(directory: Path) -> None:
         argv = ["simulate", "--lambdas", "1.5", "--sizes", "128", "--iteration-counts",

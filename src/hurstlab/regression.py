@@ -92,14 +92,20 @@ def fit_rows(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     one row's values in numpy's order, so a row's fit is the same to the
     bit whatever other rows share the batch; a NaN in a row makes that
     row's fit NaN. Raises DegenerateDesign when m < 2 or all x coincide.
+    Two arrays of *y*'s shape are made: the centred values, and one work
+    array that holds in turn their products with the abscissae, the fitted
+    line, the residuals and their squares.
     """
     x_bar, xc, sxx = _abscissae(x)
     m = xc.shape[0]
     y_bar = y.sum(axis=-1) / m
     yc = y - y_bar[..., None]
-    slope = (yc * xc).sum(axis=-1) / sxx
-    residuals = yc - slope[..., None] * xc
-    residual_rms = np.sqrt((residuals * residuals).sum(axis=-1) / m)
+    work = yc * xc
+    slope = work.sum(axis=-1) / sxx
+    np.multiply(slope[..., None], xc, out=work)
+    np.subtract(yc, work, out=work)
+    work *= work
+    residual_rms = np.sqrt(work.sum(axis=-1) / m)
     return slope, y_bar - slope * x_bar, residual_rms
 
 

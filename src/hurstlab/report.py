@@ -10,6 +10,7 @@ with locale-independent formatting.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -229,15 +230,6 @@ def _fmt6g(x: float) -> str:
     return f"{x:.6g}"
 
 
-# How json spells the floats that float.__repr__ spells otherwise.
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(x: float) -> str:
-    text = float.__repr__(x)
-    return _JSON_NON_FINITE.get(text, text)
-
-
 def _dumps_at(value, depth: int) -> str:
     """``json.dumps(value, indent=2)`` as it reads nested *depth* levels deep.
 
@@ -247,16 +239,20 @@ def _dumps_at(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
+# One point of a "points" array, as json.dumps(indent=2) nests it in
+# estimates_to_json.
+_POINT_JSON = '        {\n          "scale": %d,\n          "statistic": %s\n        }'
+
+
 def _points_json(r: EstimatorResult) -> str:
     """A result's "points" array, laid out as ``json.dumps(indent=2)`` nests it
-    in :func:`estimates_to_json`, one f-string per point."""
+    in :func:`estimates_to_json`. json's C encoder spells the statistics,
+    NaN and infinities included, and one ``%`` fills them in."""
     if not r.scales.size:
         return "[]"
-    items = ",\n".join(
-        f'        {{\n          "scale": {w},\n'
-        f'          "statistic": {_json_float(s)}\n        }}'
-        for w, s in zip(r.scales.tolist(), r.statistics.tolist())
-    )
+    statistics = json.dumps(r.statistics.tolist())[1:-1].split(", ")
+    values = tuple(itertools.chain.from_iterable(zip(r.scales.tolist(), statistics)))
+    items = ",\n".join([_POINT_JSON] * r.scales.size) % values
     return f"[\n{items}\n      ]"
 
 

@@ -73,10 +73,18 @@ def _rescaled_ranges_along_axis(seg: np.ndarray, ddof: int) -> tuple[np.ndarray,
     n = seg.shape[-1]
     centred = seg - seg.sum(axis=-1, keepdims=True) / n
     sd = np.sqrt((centred * centred).sum(axis=-1) / (n - ddof))
-    profiles = np.cumsum(centred, axis=-1)
+    # max and min loop over the innermost memory axis. Laid out subseries-
+    # major (Fortran order), the profiles give them one long loop per
+    # profile position instead of one short loop per subseries; that pays
+    # once the subseries outnumber the window's points. Max and min are
+    # exact, so the layout cannot change a bit of the ranges, but the R/S
+    # matrix is made C-ordered again: the mean over subseries in
+    # rs_statistics adds in an order that depends on the layout.
+    profiles = np.empty(centred.shape, order="F" if centred.size >= n * n else "C")
+    np.cumsum(centred, axis=-1, out=profiles)
     ranges = profiles.max(axis=-1) - profiles.min(axis=-1)
     ok = sd > 0.0
-    return np.divide(ranges, sd, out=np.zeros_like(ranges), where=ok), ok
+    return np.divide(ranges, sd, out=np.zeros_like(sd), where=ok), ok
 
 
 def rs_statistics(x: np.ndarray, windows, sd_mode: str) -> np.ndarray:

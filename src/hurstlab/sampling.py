@@ -17,8 +17,8 @@ numpy's port of O'Neill's ``seed_seq_fe``, whose output numpy keeps fixed
 under its stream-compatibility policy (NEP 19). The words come in order:
 the seed, zero-padded to the 4-word pool, then the cell id, then the
 iteration. The hash constants advance the same way whatever the words are,
-so the pool after the cell id is shared by every iteration of a cell and is
-hashed in Python ints, once per chunk. Only the iteration's word(s) and the
+so the pool after the cell id is shared by every iteration of a cell. It is
+hashed in Python ints and cached for the last (seed, cell id). Only the iteration's word(s) and the
 8-word ``generate_state(4, uint64)`` output are hashed per row, in uint32
 numpy arithmetic. PCG64 then seeds itself from those words exactly as from
 the SeedSequence, with the two LCG steps of O'Neill 2014 ("PCG: A family of
@@ -96,12 +96,13 @@ _STATE_CONSTANTS = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE), n
 _STATE_WORDS = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
 
 
-def _stream_states(master_seed: int, cell_id: int, iterations: np.ndarray) -> np.ndarray:
-    """``SeedSequence(master_seed, spawn_key=(cell_id, k)).generate_state(4,
-    np.uint64)`` for each k of the uint64 array ``iterations``, as rows of a
-    (len(iterations), 4) uint64 matrix. Seed and cell id are taken mod 2**64."""
-    seed_words = _words(master_seed & _U64)
-    entropy = seed_words + [0] * (_POOL_SIZE - len(seed_words)) + _words(cell_id & _U64)
+@functools.lru_cache(maxsize=1)
+def _prefix_pool(master_seed: int, cell_id: int) -> tuple[np.ndarray, int]:
+    """The pool after the (seed, cell id) prefix, as a read-only uint32
+    array, and the number of cell-id words. Cached for the last prefix, which
+    a cell's later chunks and repeated one-row draws share."""
+    seed_words = _words(master_seed)
+    entropy = seed_words + [0] * (_POOL_SIZE - len(seed_words)) + _words(cell_id)
     constants = iter(_MIX_CONSTANTS)
     pool = [_hash(word, *next(constants)) for word in entropy[:_POOL_SIZE]]
     for src, dst in _PAIRS:
@@ -109,11 +110,21 @@ def _stream_states(master_seed: int, cell_id: int, iterations: np.ndarray) -> np
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hash(word, *next(constants)))
+    pool = np.array(pool, np.uint32)
+    pool.flags.writeable = False
+    return pool, len(entropy) - _POOL_SIZE
+
+
+def _stream_states(master_seed: int, cell_id: int, iterations: np.ndarray) -> np.ndarray:
+    """``SeedSequence(master_seed, spawn_key=(cell_id, k)).generate_state(4,
+    np.uint64)`` for each k of the uint64 array ``iterations``, as rows of a
+    (len(iterations), 4) uint64 matrix. Seed and cell id are taken mod 2**64."""
+    pool, cell_words = _prefix_pool(master_seed & _U64, cell_id & _U64)
 
     # The iteration's words, all rows at once, into the four pool words side
     # by side. An iteration of 2**32 or more has a second word, others not.
-    low, high = _LATER_CONSTANTS[len(entropy) - _POOL_SIZE:][:2]
-    pool = _mix(np.array(pool, np.uint32), _hash(iterations.astype(np.uint32)[:, None], *low))
+    low, high = _LATER_CONSTANTS[cell_words:][:2]
+    pool = _mix(pool, _hash(iterations.astype(np.uint32)[:, None], *low))
     high_words = (iterations >> 32).astype(np.uint32)[:, None]
     if high_words.any():
         pool = np.where(high_words > 0, _mix(pool, _hash(high_words, *high)), pool)

@@ -57,6 +57,33 @@ def rescaled_range_reference(series, n: int, ddof: int) -> float:
     return float(np.mean(ratios))
 
 
+def rescaled_ranges_reference(seg: np.ndarray, ddof: int) -> tuple[np.ndarray, np.ndarray]:
+    """R/S of every subseries along the last axis of *seg*, and whether its
+    SD is nonzero (a zero-SD subseries gets R/S 0), by reductions over the
+    C-ordered centred values and their C-ordered cumulative sums."""
+    n = seg.shape[-1]
+    centred = seg - seg.sum(axis=-1, keepdims=True) / n
+    sd = np.sqrt((centred * centred).sum(axis=-1) / (n - ddof))
+    profiles = np.cumsum(centred, axis=-1)
+    ranges = profiles.max(axis=-1) - profiles.min(axis=-1)
+    ok = sd > 0.0
+    return np.divide(ranges, sd, out=np.zeros_like(ranges), where=ok), ok
+
+
+def rs_statistics_reference(x: np.ndarray, windows, ddof: int) -> np.ndarray:
+    """Mean R/S of each row of *x* (rows, N) at each window length n, over
+    the subseries whose SD is not zero (NaN when none is): the (rows, N // n,
+    n) subseries through :func:`rescaled_ranges_reference`, then numpy's sum
+    over each row's subseries divided by their count. These are the
+    package's operations in the package's order, so the bytes must match."""
+    out = np.empty((x.shape[0], len(windows)))
+    for j, n in enumerate(windows):
+        rs, ok = rescaled_ranges_reference(x.reshape(x.shape[0], -1, n), ddof)
+        with np.errstate(invalid="ignore"):
+            out[:, j] = rs.sum(axis=-1) / ok.sum(axis=-1)
+    return out
+
+
 def fluctuation_reference(subseries) -> float:
     """DFA fluctuation of one subseries: cumulate without centering, fit a
     line over t = 1..n with polyfit, take the RMS of the residuals."""

@@ -22,11 +22,12 @@ from hurstlab.rs import (
     _rescaled_ranges,
     _rescaled_ranges_along_axis,
     estimate_rsal,
+    rs_statistics,
     rsal_batch,
 )
 from hurstlab.sampling import ExponentialSpec, exponential_rows
 from hurstlab.vtp import estimate_vtp, vtp_batch
-from oracles import assert_results_equal
+from oracles import assert_results_equal, rescaled_ranges_reference, rs_statistics_reference
 
 POLICIES = (DEFAULT_POLICY, WindowPolicy(min_window=4, max_window_rule="full-N"))
 # Lengths the default policy can estimate, each with every policy; and short
@@ -104,6 +105,30 @@ def test_column_paths_equal_axis_paths(seed, rows, d, n):
     for x in (t, np.log(t + 1.0)):
         _assert_bits_equal(fit_columns(x, [seg[..., i] for i in range(n)]),
                            fit_rows(x, seg))
+
+
+# (rows, N, n): the axis path lays its profiles out subseries-major when
+# the subseries outnumber the window's points (rows * N >= n * n, equality
+# at n = 128) and row-major otherwise (n = 512 and 16384)
+@pytest.mark.parametrize("rows, n_obs, n", [
+    (50, 128, 16), (50, 128, 32), (50, 128, 64),
+    (16, 1024, 128), (16, 1024, 512),
+    (1, 32768, 16), (1, 32768, 16384),
+])
+def test_rescaled_range_axis_path_keeps_bytes_in_either_layout(rows, n_obs, n):
+    seg = _subseries(n, rows, n_obs // n, n)
+    seg[0, 0] = 0.0
+    if n_obs // n > 2:
+        seg[0, -1] = -0.0
+    if rows > 1:
+        seg[1] = 4.25  # every subseries constant: a NaN statistic
+    x = seg.reshape(rows, n_obs)
+    for ddof, sd_mode in ((0, "population"), (1, "sample")):
+        rs, ok = _rescaled_ranges_along_axis(seg, ddof)
+        assert rs.flags.c_contiguous and ok.flags.c_contiguous
+        _assert_bits_equal((rs, ok), rescaled_ranges_reference(seg, ddof))
+        _assert_bits_equal([rs_statistics(x, [n], sd_mode)],
+                           [rs_statistics_reference(x, [n], ddof)])
 
 
 @settings(max_examples=25, deadline=None)
