@@ -73,13 +73,11 @@ def _rescaled_ranges_along_axis(seg: np.ndarray, ddof: int) -> tuple[np.ndarray,
     n = seg.shape[-1]
     centred = seg - seg.sum(axis=-1, keepdims=True) / n
     sd = np.sqrt((centred * centred).sum(axis=-1) / (n - ddof))
-    # max and min loop over the innermost memory axis. Laid out subseries-
-    # major (Fortran order), the profiles give them one long loop per
-    # profile position instead of one short loop per subseries; that pays
-    # once the subseries outnumber the window's points. Max and min are
-    # exact, so the layout cannot change a bit of the ranges, but the R/S
-    # matrix is made C-ordered again: the mean over subseries in
-    # rs_statistics adds in an order that depends on the layout.
+    # Where the subseries outnumber the window's points, Fortran-ordered
+    # profiles give max and min one long inner loop per position instead of
+    # a short one per subseries. Both are exact, so no bit moves; the R/S
+    # matrix is C-ordered again, because the mean over subseries in
+    # rs_statistics adds in an order that depends on its layout.
     profiles = np.empty(centred.shape, order="F" if centred.size >= n * n else "C")
     np.cumsum(centred, axis=-1, out=profiles)
     ranges = profiles.max(axis=-1) - profiles.min(axis=-1)

@@ -18,11 +18,12 @@ under its stream-compatibility policy (NEP 19). The words come in order:
 the seed, zero-padded to the 4-word pool, then the cell id, then the
 iteration. The hash constants advance the same way whatever the words are,
 so the pool after the cell id is shared by every iteration of a cell. It is
-hashed in Python ints and cached for the last (seed, cell id). Only the iteration's word(s) and the
-8-word ``generate_state(4, uint64)`` output are hashed per row, in uint32
-numpy arithmetic. PCG64 then seeds itself from those words exactly as from
-the SeedSequence, with the two LCG steps of O'Neill 2014 ("PCG: A family of
-simple fast space-efficient statistically good algorithms").
+hashed in Python ints and cached for the last (seed, cell id). Only the
+iteration's word(s) and the 8-word ``generate_state(4, uint64)`` output are
+hashed per row, in uint32 numpy arithmetic. PCG64 then seeds itself from
+those words exactly as from the SeedSequence, with the two LCG steps of
+O'Neill 2014 ("PCG: A family of simple fast space-efficient statistically
+good algorithms").
 ``tests/oracles.py`` keeps numpy's own per-row path, and the tests require
 every draw to equal it bit for bit.
 """
