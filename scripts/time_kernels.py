@@ -15,7 +15,10 @@ simulation cell of that length, and times ``rsal_batch``, ``dfa_batch`` and
 three kernels replaced by a stub: what is left is deriving and sampling the
 chunk's streams, plus the aggregation of one cell. It prints the rows per
 chunk of each length on stderr, and on stdout one JSON line with those rows
-and the median call time divided by the row count.
+and the median call time divided by the row count. The ``draw_new_seed``
+row is the ``draw`` row with a new seed on every call (``--seed`` plus the
+call's number), so each call also hashes its (seed, cell id) prefix afresh,
+as each operation of the benchmark's Monte Carlo workloads does.
 
 The ``N32768`` rows use one exponential series of 32768 values, the
 length of a long single-series estimate. ``rsal_batch`` and ``dfa_batch``
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import os
 import sys
@@ -103,6 +107,9 @@ def main() -> int:
         try:
             metrics[f"draw.N{n_obs}.us_per_series"] = us_per_series(
                 lambda: montecarlo.run_cell(cell, args.seed), rows[n_obs])
+            seeds = itertools.count(args.seed)
+            metrics[f"draw_new_seed.N{n_obs}.us_per_series"] = us_per_series(
+                lambda: montecarlo.run_cell(cell, next(seeds)), rows[n_obs])
         finally:
             montecarlo.rsal_batch, montecarlo.dfa_batch, montecarlo.vtp_batch = kernels
         x = rng.exponential(size=(rows[n_obs], n_obs))

@@ -64,7 +64,7 @@ from .report import (
     report_to_json,
 )
 from .rs import estimate_rsal, expected_rs
-from .series import SD_MODES, as_series
+from .series import SD_MODES
 from .vtp import estimate_vtp
 
 DEFAULT_SEED = 42
@@ -178,14 +178,13 @@ def cmd_estimate(args) -> int:
             f"series of length {values.size} is below the CLI minimum of "
             f"{MIN_CLI_OBSERVATIONS} observations"
         )
-    series = as_series(values)
 
     runners = {
-        "rsal": lambda: estimate_rsal(series, policy, args.sd_mode),
-        "dfa": lambda: estimate_dfa(series, policy),
-        "vtp": lambda: estimate_vtp(series, divisors_only=args.vtp_divisors_only),
+        "rsal": lambda: estimate_rsal(values, policy, args.sd_mode),
+        "dfa": lambda: estimate_dfa(values, policy),
+        "vtp": lambda: estimate_vtp(values, divisors_only=args.vtp_divisors_only),
     }
-    wanted = ("rsal", "dfa", "vtp") if args.method == "all" else (args.method,)
+    wanted = tuple(runners) if args.method == "all" else (args.method,)
     # A series whose squares exceed the float64 range would otherwise give
     # NaN or meaningless estimates with exit 0.
     try:
@@ -205,7 +204,7 @@ def cmd_estimate(args) -> int:
     }
     if args.format == "json":
         sys.stdout.write(
-            estimates_to_json(results, args.input, series.shape[0], options)
+            estimates_to_json(results, args.input, values.size, options)
         )
     else:
         sys.stdout.write(estimates_to_csv(results))

@@ -26,9 +26,8 @@ from .base import (
     WindowPolicy,
     loglog_fits,
 )
-from .errors import WindowTooSmall
 from .regression import COLUMN_PATH_MAX, fit_columns, fit_rows
-from .series import as_series, segment_matrix
+from .series import as_series
 
 __all__ = [
     "dfa_fluctuations",
@@ -47,8 +46,6 @@ def _fluctuations(seg: np.ndarray) -> np.ndarray:
     for every subseries along the last axis. Windows of up to
     COLUMN_PATH_MAX values cumulate and fit their profiles column by column."""
     n = seg.shape[-1]
-    if n < 3:
-        raise WindowTooSmall(f"DFA needs n >= 3, got {n}")
     t = np.arange(1.0, n + 1.0)
     if n > COLUMN_PATH_MAX:
         return fit_rows(t, np.cumsum(seg, axis=-1))[2]
@@ -61,12 +58,13 @@ def _fluctuations(seg: np.ndarray) -> np.ndarray:
 def dfa_fluctuations(x: np.ndarray, windows) -> np.ndarray:
     """Mean fluctuation of each row of *x* (rows, N) at each window length.
 
+    The windows are divisors of N, as ``WindowPolicy.windows`` gives them.
     Returns a (rows, len(windows)) matrix; 0 marks a row whose cumulative
     profile is linear in every subseries of that window.
     """
     out = np.empty((x.shape[0], len(windows)))
     for j, n in enumerate(windows):
-        f = _fluctuations(segment_matrix(x, n))
+        f = _fluctuations(x.reshape(x.shape[0], -1, n))
         out[:, j] = f.sum(axis=-1) / f.shape[-1]
     return out
 

@@ -14,14 +14,6 @@ class SeriesError(HurstLabError):
     """Invalid time-series input (non-finite values, too short, wrong shape)."""
 
 
-class NonDivisorWindow(HurstLabError):
-    """Window length n does not divide the series length exactly."""
-
-
-class WindowTooSmall(HurstLabError):
-    """Window length below the minimum the operation supports."""
-
-
 class InvalidWindow(HurstLabError):
     """Window length outside the domain of the expected-R/S correction."""
 

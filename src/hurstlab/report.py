@@ -166,6 +166,15 @@ def _grid_axes(report: SimulationReport):
     return lambdas, sizes, iteration_counts, by_key
 
 
+def _size_values(by_key: dict, sizes: list, method: str, lam: float, iters: int,
+                 attr: str) -> list[str]:
+    """*method*'s *attr* in the (lam, size, iters) cell of each size, at 4
+    places; blank where the grid has no such cell or it lacks the method."""
+    cells = [by_key.get((lam, size, iters)) for size in sizes]
+    return ["" if cell is None or method not in cell.methods
+            else _fmt4(getattr(cell.methods[method], attr)) for cell in cells]
+
+
 def report_to_csv(report: SimulationReport) -> str:
     """Comparison tables: per method, lambda x iterations rows, N columns."""
     lambdas, sizes, iteration_counts, by_key = _grid_axes(report)
@@ -182,12 +191,7 @@ def report_to_csv(report: SimulationReport) -> str:
             for iters in iteration_counts:
                 row = [f"{lam:g}", str(iters)]
                 for attr in ("mean_hurst", "mse"):
-                    for size in sizes:
-                        cell = by_key.get((lam, size, iters))
-                        if cell is None or method not in cell.methods:
-                            row.append("")
-                        else:
-                            row.append(_fmt4(getattr(cell.methods[method], attr)))
+                    row += _size_values(by_key, sizes, method, lam, iters, attr)
                 lines.append(",".join(row))
         lines.append("")
     return "\n".join(lines)
@@ -206,13 +210,7 @@ def plot_data_files(report: SimulationReport) -> dict[str, str]:
         for iters in iteration_counts:
             lines = [",".join(["lambda"] + [f"hurst_N{size}" for size in sizes])]
             for lam in lambdas:
-                row = [f"{lam:g}"]
-                for size in sizes:
-                    cell = by_key.get((lam, size, iters))
-                    if cell is None or method not in cell.methods:
-                        row.append("")
-                    else:
-                        row.append(_fmt4(cell.methods[method].mean_hurst))
+                row = [f"{lam:g}"] + _size_values(by_key, sizes, method, lam, iters, "mean_hurst")
                 lines.append(",".join(row))
             files[plot_data_name(method, iters)] = "\n".join(lines) + "\n"
     return files

@@ -22,6 +22,7 @@ single-series estimators are its one-row case.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -35,7 +36,7 @@ from .base import (
 )
 from .errors import InvalidWindow
 from .regression import COLUMN_PATH_MAX, column_sum
-from .series import _ddof, as_series, segment_matrix
+from .series import _ddof, as_series
 
 __all__ = [
     "rs_statistics",
@@ -90,28 +91,35 @@ def rs_statistics(x: np.ndarray, windows, sd_mode: str) -> np.ndarray:
 
     The R/S of a subseries is the range of its centered cumulative sum over
     its SD, with the n (``"population"``) or n - 1 (``"sample"``)
-    denominator. Returns a (rows, len(windows)) matrix. Degenerate
+    denominator. The windows are divisors of N, as ``WindowPolicy.windows``
+    gives them. Returns a (rows, len(windows)) matrix. Degenerate
     subseries (zero SD) are dropped from a row's average; a row whose
     subseries at a window are all degenerate gets NaN there.
     """
     ddof = _ddof(sd_mode)
     out = np.empty((x.shape[0], len(windows)))
     for j, n in enumerate(windows):
-        rs, ok = _rescaled_ranges(segment_matrix(x, n), ddof)
+        rs, ok = _rescaled_ranges(x.reshape(x.shape[0], -1, n), ddof)
         with np.errstate(invalid="ignore"):
             out[:, j] = rs.sum(axis=-1) / ok.sum(axis=-1)
     return out
 
 
-@lru_cache(maxsize=None)
+# typed: a float key such as 16.0 must reach the integer check, not hit 16's entry
+@lru_cache(maxsize=None, typed=True)
 def expected_rs(n: int) -> float:
     """Small-sample expectation E(R/S)_n of the rescaled range for i.i.d. data.
 
     Anis-Lloyd formula with the Peters (n - 1/2)/n prefactor; the gamma-ratio
     factor switches to its asymptotic form 1/sqrt(n*pi/2) above n = 340,
     where the exact ratio and the asymptote agree to well under a percent.
-    Evaluated through log-gamma so large n cannot overflow.
+    Evaluated through log-gamma so large n cannot overflow. *n* must be an
+    integer >= 2, else InvalidWindow.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidWindow(f"expected_rs needs an integer n, got {n!r}") from None
     if n < 2:
         raise InvalidWindow(f"expected_rs needs n >= 2, got {n}")
     if n <= 340:

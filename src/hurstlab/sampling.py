@@ -17,10 +17,11 @@ numpy's port of O'Neill's ``seed_seq_fe``, whose output numpy keeps fixed
 under its stream-compatibility policy (NEP 19). The words come in order:
 the seed, zero-padded to the 4-word pool, then the cell id, then the
 iteration. The hash constants advance the same way whatever the words are,
-so the pool after the cell id is shared by every iteration of a cell. It is
-hashed in Python ints and cached for the last (seed, cell id). Only the
-iteration's word(s) and the 8-word ``generate_state(4, uint64)`` output are
-hashed per row, in uint32 numpy arithmetic. PCG64 then seeds itself from
+so the pool after the cell id is shared by every iteration of a cell: numpy
+hashes it, as ``SeedSequence(seed, spawn_key=(cell_id,)).pool``, and it is
+cached for the last (seed, cell id). hurstlab hashes only the iteration's
+word(s) and the 8-word ``generate_state(4, uint64)`` output, for all rows
+at once, in uint32 numpy arithmetic. PCG64 then seeds itself from
 those words exactly as from the SeedSequence, with the two LCG steps of
 O'Neill 2014 ("PCG: A family of simple fast space-efficient statistically
 good algorithms").
@@ -65,32 +66,21 @@ def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
 
 
 def _hash(value, before, after):
-    """SeedSequence's ``hashmix`` of a word; Python ints or uint32 arrays."""
+    """SeedSequence's ``hashmix`` of uint32 words, elementwise."""
     value = (value ^ before) * after & _MASK32
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    """SeedSequence's ``mix`` of two words; Python ints or uint32 arrays."""
+    """SeedSequence's ``mix`` of uint32 words, elementwise."""
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return result ^ result >> 16
 
 
-def _words(n: int) -> list[int]:
-    """The uint32 words of a non-negative int, least significant first."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-# The pool's words are hashed first, then each ordered pair of them is
-# mixed, then each later word is mixed into all four: the seed, zero-padded
-# to the pool, then the cell id and the iteration, 2 words at most each.
-_PAIRS = [(src, dst) for src in range(_POOL_SIZE) for dst in range(_POOL_SIZE) if src != dst]
-_MIX_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + 4) + len(_PAIRS))
-# (before, after) rows of the four hashes that mix in each later word
-_LATER_CONSTANTS = np.array(_MIX_CONSTANTS[_POOL_SIZE + len(_PAIRS):], np.uint32).reshape(
+# After the pool's 4 words and its 12 ordered pairs (16 hashes), SeedSequence
+# mixes each later word, of the cell id's 2 at most and the iteration's 2 at
+# most, into all four pool words: one (before, after) row of 4 hashes per word.
+_LATER_CONSTANTS = np.array(_hash_constants(_INIT_A, _MULT_A, 32)[16:], np.uint32).reshape(
     -1, _POOL_SIZE, 2).transpose(0, 2, 1)
 # generate_state(4, uint64) hashes 8 uint32 words, cycling through the pool.
 _STATE_CONSTANTS = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE), np.uint32).T
@@ -99,21 +89,12 @@ _STATE_WORDS = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
 
 @functools.lru_cache(maxsize=1)
 def _prefix_pool(master_seed: int, cell_id: int) -> tuple[np.ndarray, int]:
-    """The pool after the (seed, cell id) prefix, as a read-only uint32
+    """numpy's pool after the (seed, cell id) prefix, as a read-only uint32
     array, and the number of cell-id words. Cached for the last prefix, which
     a cell's later chunks and repeated one-row draws share."""
-    seed_words = _words(master_seed)
-    entropy = seed_words + [0] * (_POOL_SIZE - len(seed_words)) + _words(cell_id)
-    constants = iter(_MIX_CONSTANTS)
-    pool = [_hash(word, *next(constants)) for word in entropy[:_POOL_SIZE]]
-    for src, dst in _PAIRS:
-        pool[dst] = _mix(pool[dst], _hash(pool[src], *next(constants)))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hash(word, *next(constants)))
-    pool = np.array(pool, np.uint32)
+    pool = np.random.SeedSequence(master_seed, spawn_key=(cell_id,)).pool
     pool.flags.writeable = False
-    return pool, len(entropy) - _POOL_SIZE
+    return pool, 1 if cell_id <= _MASK32 else 2
 
 
 def _stream_states(master_seed: int, cell_id: int, iterations: np.ndarray) -> np.ndarray:

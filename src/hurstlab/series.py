@@ -1,19 +1,19 @@
-"""Core time-series container and the subseries split shared by the estimators.
+"""Time-series validation and the sd-mode flag shared by the estimators.
 
 A time series is represented as a 1-D float64 numpy array; :func:`as_series`
-is the single validation gate (finite values, length >= 2).
-:func:`segment_matrix` splits a series, or every row of a batch, into
-equal-length contiguous subseries for the rescaled-range and detrended
-fluctuation kernels. All functions are pure.
+is the single validation gate (finite values, length >= 2). Window lengths
+have their own single gate, ``WindowPolicy.windows`` in :mod:`hurstlab.base`:
+its windows divide N, so the R/S and DFA kernels split a (rows, N) batch
+into contiguous subseries with a plain reshape. All functions are pure.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonDivisorWindow, SeriesError, WindowTooSmall
+from .errors import SeriesError
 
-__all__ = ["as_series", "segment_matrix"]
+__all__ = ["as_series"]
 
 #: Mapping from the user-facing sd-mode flag to the numpy ddof argument.
 SD_MODES = {"population": 0, "sample": 1}
@@ -42,17 +42,3 @@ def _ddof(sd_mode: str) -> int:
     except KeyError:
         raise SeriesError(f"unknown sd_mode {sd_mode!r}; expected one of {sorted(SD_MODES)}")
 
-
-def segment_matrix(series: np.ndarray, n: int) -> np.ndarray:
-    """Reshape the last axis of *series* into (d, n) contiguous subseries.
-
-    A series of length N becomes a (d, n) matrix and a (rows, N) batch a
-    (rows, d, n) array. The subseries keep their original order, so
-    ravelling the result reproduces the input.
-    """
-    if n < 2:
-        raise WindowTooSmall(f"window n={n} is below the minimum of 2")
-    size = series.shape[-1]
-    if size % n != 0:
-        raise NonDivisorWindow(f"n={n} does not divide series length {size}")
-    return series.reshape(*series.shape[:-1], size // n, n)

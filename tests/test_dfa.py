@@ -8,7 +8,6 @@ from hurstlab.dfa import dfa_fluctuations, estimate_dfa
 from hurstlab.errors import (
     InsufficientWindows,
     SeriesError,
-    WindowTooSmall,
     ZeroFluctuation,
 )
 from oracles import dfa_fluctuation_reference, fluctuation_reference
@@ -32,10 +31,6 @@ class TestDetrendedFluctuation:
     def test_increasing_hand_case(self):
         # profile [1,3,6]; slope 2.5, intercept -5/3; residuals (1/6,-1/3,1/6)
         assert _fluct([1, 2, 3], [3])[0] == pytest.approx(math.sqrt(1.0 / 18.0), abs=1e-12)
-
-    def test_window_too_small(self):
-        with pytest.raises(WindowTooSmall):
-            _fluct([1, 2], [2])
 
     def test_matches_brute_force(self, exp_series):
         series = exp_series(64, seed=14)
@@ -66,10 +61,6 @@ class TestDfaStatistic:
         windows = (4, 8, 16, 48)
         for n, value in zip(windows, _fluct(series, windows)):
             assert value == pytest.approx(dfa_fluctuation_reference(series, n), rel=1e-10)
-
-    def test_minimum_window(self):
-        with pytest.raises(WindowTooSmall):
-            _fluct([1.0, 2.0, 3.0, 4.0], [2])
 
 
 class TestEstimateDfa:

@@ -11,11 +11,12 @@ along the last axis, ``fit_rows`` among them, bit for bit.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hurstlab.base import DEFAULT_POLICY, FAILURES, WindowPolicy
-from hurstlab.dfa import _fluctuations, dfa_batch, estimate_dfa
+from hurstlab.base import DEFAULT_POLICY, FAILURES, MAX_WINDOW_RULES, WindowPolicy
+from hurstlab.dfa import DFA_MIN_WINDOW, _fluctuations, dfa_batch, estimate_dfa
+from hurstlab.errors import InsufficientWindows
 from hurstlab.montecarlo import SimulationCell, mse, run_cell
 from hurstlab.regression import COLUMN_PATH_MAX, fit_columns, fit_rows
 from hurstlab.rs import (
@@ -62,6 +63,31 @@ def test_batch_rows_equal_single_series_estimates(case, rows, seed, sd_mode, div
         assert_results_equal(dfa.result(k, warnings=single_dfa.warnings), single_dfa)
         assert_results_equal(vtp.result(k),
                              estimate_vtp(x[k], divisors_only=divisors_only))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_obs=st.one_of(st.integers(1, 300), st.integers(1, 10**5)),
+    min_window=st.integers(2, 40),
+    rule=st.sampled_from(MAX_WINDOW_RULES),
+    floor=st.sampled_from([2, DFA_MIN_WINDOW]),
+)
+@example(n_obs=8, min_window=2, rule="half-N", floor=DFA_MIN_WINDOW)
+@example(n_obs=12, min_window=6, rule="full-N", floor=2)
+@example(n_obs=27720, min_window=2, rule="half-N", floor=2)
+def test_window_policy_gives_the_divisors_in_range(n_obs, min_window, rule, floor):
+    """The R/S and DFA kernels reshape by each window unchecked, so
+    WindowPolicy.windows is the one gate: every divisor of N from the larger
+    floor to N/2 or N, ascending, and InsufficientWindows below two."""
+    policy = WindowPolicy(min_window, rule)
+    lo = max(min_window, floor)
+    hi = n_obs if rule == "full-N" else n_obs // 2
+    expected = [d for d in range(lo, hi + 1) if n_obs % d == 0]
+    if len(expected) < 2:
+        with pytest.raises(InsufficientWindows):
+            policy.windows(n_obs, floor)
+    else:
+        assert policy.windows(n_obs, floor) == expected
 
 
 def _subseries(seed: int, rows: int, d: int, n: int) -> np.ndarray:

@@ -74,6 +74,13 @@ class TestExpectedRs:
         with pytest.raises(InvalidWindow):
             expected_rs(1)
 
+    def test_non_integer_window(self):
+        # with n = 16 cached, an equal float must still reach the integer check
+        expected_rs(16)
+        for n in (16.5, 16.0):
+            with pytest.raises(InvalidWindow, match="integer"):
+                expected_rs(n)
+
     def test_branch_continuity_at_seam(self):
         n = 340
         gamma_branch = (

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hurstlab.dfa import dfa_fluctuations
-from hurstlab.errors import NonDivisorWindow, SeriesError, WindowTooSmall
+from hurstlab.errors import SeriesError
 from hurstlab.rs import rs_statistics
-from hurstlab.series import as_series, segment_matrix
+from hurstlab.series import as_series
 
 
 def _rs(values, sd_mode="population"):
@@ -31,35 +31,6 @@ class TestAsSeries:
     def test_rejects_2d(self):
         with pytest.raises(SeriesError, match="1-D"):
             as_series([[1.0, 2.0], [3.0, 4.0]])
-
-
-class TestPartition:
-    """segment_matrix: the subseries split of the R/S and DFA kernels."""
-
-    def test_contiguous_split(self):
-        parts = segment_matrix(np.array([1.0, 2, 3, 4, 5, 6]), 3)
-        np.testing.assert_array_equal(parts, [[1, 2, 3], [4, 5, 6]])
-
-    def test_whole_series_window(self):
-        parts = segment_matrix(np.array([1.0, 2, 3, 4]), 4)
-        np.testing.assert_array_equal(parts, [[1, 2, 3, 4]])
-
-    def test_non_divisor_rejected(self):
-        with pytest.raises(NonDivisorWindow):
-            segment_matrix(np.arange(6.0), 4)
-
-    def test_window_below_two_rejected(self):
-        with pytest.raises(WindowTooSmall):
-            segment_matrix(np.arange(4.0), 1)
-
-    def test_concat_is_identity(self):
-        rng = np.random.default_rng(7)
-        batch = rng.normal(size=(3, 24))
-        for n in (2, 3, 4, 6, 8, 12, 24):
-            parts = segment_matrix(batch, n)
-            assert parts.shape == (3, 24 // n, n)
-            np.testing.assert_array_equal(parts.reshape(3, 24), batch)
-            np.testing.assert_array_equal(parts[1], segment_matrix(batch[1], n))
 
 
 class TestSubseriesStats:
