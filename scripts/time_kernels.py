@@ -12,8 +12,11 @@ of exponential series, as many rows as ``montecarlo.chunk_rows`` gives a
 simulation cell of that length, and times ``rsal_batch``, ``dfa_batch`` and
 ``vtp_batch`` on it after one warm-up call. The ``draw`` row times
 ``run_cell`` on a cell of one such chunk, seeded with ``--seed``, with the
-three kernels replaced by a stub: what is left is deriving and sampling the
-chunk's streams, plus the aggregation of one cell. It prints the rows per
+three kernels replaced by a stub at ``hurstlab.montecarlo.rsal_batch``,
+``dfa_batch`` and ``vtp_batch``: what is left is deriving and sampling the
+chunk's streams, plus the aggregation of one cell. If those rows run without
+calling the stub, the script stops with an error rather than time the real
+kernels under the ``draw`` name. It prints the rows per
 chunk of each length on stderr, and on stdout one JSON line with those rows
 and the median call time divided by the row count. The ``draw_new_seed``
 row is the ``draw`` row with a new seed on every call (``--seed`` plus the
@@ -93,7 +96,11 @@ def main() -> int:
     def us_per_series(call, n_rows: int) -> float:
         return median_s(call) / n_rows * 1e6
 
+    stub_calls = 0
+
     def stub_fit(x, *_, **__):
+        nonlocal stub_calls
+        stub_calls += 1
         return SimpleNamespace(hurst=np.full(x.shape[0], 0.5))
 
     rng = np.random.default_rng(args.seed)
@@ -104,6 +111,7 @@ def main() -> int:
         cell = montecarlo.SimulationCell(lam=1.5, length=n_obs, iterations=rows[n_obs])
         kernels = montecarlo.rsal_batch, montecarlo.dfa_batch, montecarlo.vtp_batch
         montecarlo.rsal_batch = montecarlo.dfa_batch = montecarlo.vtp_batch = stub_fit
+        stub_calls = 0
         try:
             metrics[f"draw.N{n_obs}.us_per_series"] = us_per_series(
                 lambda: montecarlo.run_cell(cell, args.seed), rows[n_obs])
@@ -112,6 +120,10 @@ def main() -> int:
                 lambda: montecarlo.run_cell(cell, next(seeds)), rows[n_obs])
         finally:
             montecarlo.rsal_batch, montecarlo.dfa_batch, montecarlo.vtp_batch = kernels
+        if not stub_calls:
+            sys.exit("the draw rows never called the stub at hurstlab.montecarlo.rsal_batch, "
+                     "dfa_batch and vtp_batch: run_cell no longer reaches its kernels "
+                     "through that seam, so the rows would time the real kernels")
         x = rng.exponential(size=(rows[n_obs], n_obs))
         for kernel in (rsal_batch, dfa_batch, vtp_batch):
             metrics[f"{kernel.__name__}.N{n_obs}.us_per_series"] = us_per_series(

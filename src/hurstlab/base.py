@@ -29,7 +29,7 @@ __all__ = [
     "loglog_fits",
 ]
 
-# Warning code attached by DFA when the fitted exponent exceeds 1.
+# Warning code LogLogFits.result attaches to a DFA fit whose slope exceeds 1.
 WARN_NONSTATIONARY = "NONSTATIONARY_OR_DETREND_FAIL"
 
 MAX_WINDOW_RULES = ("half-N", "full-N")
@@ -145,9 +145,10 @@ class LogLogFits:
     residual_rms: np.ndarray
     hurst: np.ndarray
 
-    def result(self, row: int = 0, warnings: tuple[str, ...] = ()) -> EstimatorResult:
+    def result(self, row: int = 0) -> EstimatorResult:
         """The EstimatorResult of one row. A failed row raises the error
-        FAILURES names, listing every scale of its first failure kind."""
+        FAILURES names, listing every scale of its first failure kind; a DFA
+        slope above 1 flags non-stationarity or a failed detrend, a warning."""
         stats = self.statistics[row]
         kinds = (np.isnan(stats), stats <= 0.0, np.isinf(stats))
         for (error, what), bad in zip(FAILURES[self.method], kinds):
@@ -159,9 +160,9 @@ class LogLogFits:
             intercept=float(self.intercept[row]),
             residual_rms=float(self.residual_rms[row]),
         )
+        warnings = (WARN_NONSTATIONARY,) if self.method == "DFA" and fit.slope > 1.0 else ()
         return EstimatorResult(method=self.method, hurst=float(self.hurst[row]), fit=fit,
-                               scales=self.scales, statistics=stats,
-                               warnings=warnings)
+                               scales=self.scales, statistics=stats, warnings=warnings)
 
 
 def loglog_fits(method: str, scales, statistics: np.ndarray) -> LogLogFits:

@@ -39,7 +39,6 @@ import numpy as np
 
 from . import __version__
 from .base import MAX_WINDOW_RULES, WindowPolicy
-from .dfa import estimate_dfa
 from .errors import (
     HurstLabError,
     InsufficientWindows,
@@ -63,9 +62,8 @@ from .report import (
     report_to_csv,
     report_to_json,
 )
-from .rs import estimate_rsal, expected_rs
+from .rs import expected_rs
 from .series import SD_MODES
-from .vtp import estimate_vtp
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "HURSTLAB_SEED"
@@ -113,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate H from a series file")
     est.add_argument("input", help="series file: one observation per line, '#' comments")
-    est.add_argument("--method", choices=("rsal", "dfa", "vtp", "all"), default="all")
+    est.add_argument("--method", choices=[*map(str.lower, METHODS), "all"], default="all")
     est.add_argument("--format", choices=("json", "csv"), default="json")
     _policy_options(est)
     est.set_defaults(func=cmd_estimate)
@@ -179,17 +177,13 @@ def cmd_estimate(args) -> int:
             f"{MIN_CLI_OBSERVATIONS} observations"
         )
 
-    runners = {
-        "rsal": lambda: estimate_rsal(values, policy, args.sd_mode),
-        "dfa": lambda: estimate_dfa(values, policy),
-        "vtp": lambda: estimate_vtp(values, divisors_only=args.vtp_divisors_only),
-    }
-    wanted = tuple(runners) if args.method == "all" else (args.method,)
+    wanted = METHODS if args.method == "all" else [args.method.upper()]
     # A series whose squares exceed the float64 range would otherwise give
     # NaN or meaningless estimates with exit 0.
     try:
         with np.errstate(over="raise"):
-            results = [runners[name]() for name in wanted]
+            results = [METHODS[name](values[None, :], policy, args.sd_mode,
+                                     args.vtp_divisors_only).result() for name in wanted]
     except FloatingPointError as exc:
         print(f"hurstlab: {exc}: the series values are too large to estimate "
               "in float64 arithmetic", file=sys.stderr)

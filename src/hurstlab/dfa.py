@@ -20,7 +20,6 @@ import numpy as np
 
 from .base import (
     DEFAULT_POLICY,
-    WARN_NONSTATIONARY,
     EstimatorResult,
     LogLogFits,
     WindowPolicy,
@@ -78,6 +77,4 @@ def dfa_batch(x: np.ndarray, policy: WindowPolicy = DEFAULT_POLICY) -> LogLogFit
 
 def estimate_dfa(series, policy: WindowPolicy = DEFAULT_POLICY) -> EstimatorResult:
     """DFA Hurst estimate over the policy's window set."""
-    fits = dfa_batch(as_series(series)[None, :], policy)
-    warnings = (WARN_NONSTATIONARY,) if fits.slope[0] > 1.0 else ()
-    return fits.result(warnings=warnings)
+    return dfa_batch(as_series(series)[None, :], policy).result()

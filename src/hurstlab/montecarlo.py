@@ -58,7 +58,15 @@ __all__ = [
 # i.i.d. data has H = 0.5; every MSE in the comparison is measured against it.
 TRUE_HURST = 0.5
 
-METHODS = ("RSAL", "DFA", "VTP")
+# The method table, in report order: each grid method's batch call on a
+# (rows, N) matrix, given (policy, sd_mode, vtp_divisors_only). The grid and
+# the CLI both run it, and it calls each kernel through this module's
+# globals, so one patched name reaches both.
+METHODS = {
+    "RSAL": lambda x, policy, sd_mode, divisors_only: rsal_batch(x, policy, sd_mode),
+    "DFA": lambda x, policy, sd_mode, divisors_only: dfa_batch(x, policy),
+    "VTP": lambda x, policy, sd_mode, divisors_only: vtp_batch(x, divisors_only=divisors_only),
+}
 
 DEFAULT_LAMBDAS = (0.1, 0.5, 1.5, 3.0, 5.0, 7.0)
 DEFAULT_SIZES = (128, 256, 512, 1024)
@@ -166,18 +174,13 @@ def run_cell(cell: SimulationCell, master_seed: int,
     method's error from the first chunk, before the rest is drawn.
     """
     spec = ExponentialSpec(cell.lam, cell.length)
-    batches = (
-        lambda x: rsal_batch(x, policy, sd_mode),
-        lambda x: dfa_batch(x, policy),
-        lambda x: vtp_batch(x, divisors_only=vtp_divisors_only),
-    )
     estimates = np.full((cell.iterations, len(METHODS)), np.nan)
     step = chunk_rows(cell.length)
     for start in range(0, cell.iterations, step):
         stop = min(start + step, cell.iterations)
         x = exponential_rows(master_seed, cell_id, start, stop, spec)
-        for j, batch in enumerate(batches):
-            estimates[start:stop, j] = batch(x).hurst
+        for j, batch in enumerate(METHODS.values()):
+            estimates[start:stop, j] = batch(x, policy, sd_mode, vtp_divisors_only).hurst
 
     methods = {}
     for j, method in enumerate(METHODS):

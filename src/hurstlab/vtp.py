@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .base import EstimatorResult, LogLogFits, loglog_fits
+from .base import EstimatorResult, LogLogFits, divisors, loglog_fits
 from .errors import InsufficientScales, ScaleTooLarge
 from .series import as_series
 
@@ -48,7 +48,7 @@ def _default_ws(n_obs: int, divisors_only: bool) -> tuple[int, ...]:
     discarded.
     """
     if divisors_only:
-        return tuple(w for w in range(1, n_obs // 4 + 1) if n_obs % w == 0)
+        return tuple(w for w in divisors(n_obs) if w <= n_obs // 4)
     return tuple(range(1, n_obs // 4 + 1))
 
 

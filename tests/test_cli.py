@@ -14,6 +14,7 @@ from hurstlab.cli import (
     MAX_SIMULATE_SIZE,
     main,
 )
+from hurstlab.montecarlo import METHODS
 from hurstlab.sampling import ExponentialSpec, exponential_rows
 
 
@@ -44,10 +45,27 @@ class TestEstimate:
         combined = json.loads(capsys.readouterr().out)
         hursts = {r["method"]: r["hurst"] for r in combined["results"]}
         assert list(hursts) == ["RSAL", "DFA", "VTP"]
-        for method in ("rsal", "dfa", "vtp"):
-            assert main(["estimate", str(path), "--method", method]) == 0
+        for method in METHODS:
+            assert main(["estimate", str(path), "--method", method.lower()]) == 0
             (single,) = json.loads(capsys.readouterr().out)["results"]
             assert single["hurst"] == hursts[single["method"]]
+
+    @pytest.mark.parametrize("method", ["dfa", "all"])
+    def test_dfa_slope_above_one_warns_in_json_and_csv(self, tmp_path, capsys, method):
+        # a doubly integrated Gaussian series: its DFA slope is above 1
+        walk = np.cumsum(np.cumsum(np.random.default_rng(3).normal(size=4096)))
+        path = tmp_path / "walk.txt"
+        path.write_text("".join(f"{x!r}\n" for x in walk.tolist()))
+        assert main(["estimate", str(path), "--method", method]) == 0
+        (dfa,) = [r for r in json.loads(capsys.readouterr().out)["results"]
+                  if r["method"] == "DFA"]
+        assert dfa["fit"]["slope"] > 1.0
+        assert dfa["warnings"] == ["NONSTATIONARY_OR_DETREND_FAIL"]
+        assert main(["estimate", str(path), "--method", method, "--format", "csv"]) == 0
+        header, *summary = capsys.readouterr().out.split("# points")[0].splitlines()
+        rows = {row.split(",")[0]: dict(zip(header.split(","), row.split(",")))
+                for row in summary}
+        assert rows["DFA"]["warnings"] == "NONSTATIONARY_OR_DETREND_FAIL"
 
     def test_csv_matches_json_values(self, series_file, capsys):
         path = series_file(length=128)

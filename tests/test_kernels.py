@@ -59,8 +59,7 @@ def test_batch_rows_equal_single_series_estimates(case, rows, seed, sd_mode, div
     vtp = vtp_batch(x, divisors_only=divisors_only)
     for k in range(rows):
         assert_results_equal(rsal.result(k), estimate_rsal(x[k], policy, sd_mode))
-        single_dfa = estimate_dfa(x[k], policy)
-        assert_results_equal(dfa.result(k, warnings=single_dfa.warnings), single_dfa)
+        assert_results_equal(dfa.result(k), estimate_dfa(x[k], policy))
         assert_results_equal(vtp.result(k),
                              estimate_vtp(x[k], divisors_only=divisors_only))
 
