@@ -7,8 +7,8 @@ Usage, from anywhere:
 Exports REV with ``git archive`` into a temporary directory and runs one
 suite on that export and on the working tree, each side importing hurstlab
 from its own ``src`` and running its own demos. Prints ``identical`` and
-exits 0 when every output matches; otherwise prints the first file and line
-that differ and exits 1.
+exits 0 when every output matches; otherwise prints the first differing
+line of every file that differs and exits 1.
 
 The suite:
 
@@ -148,17 +148,21 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
-def first_difference(left: Path, right: Path, rev: str) -> str | None:
-    """The first file or line where the two output trees differ, or None."""
+def differences(left: Path, right: Path, rev: str) -> list[str]:
+    """Each file where the two output trees differ, with its first differing
+    line, in file-name order."""
     def files(top: Path) -> set[str]:
         return {str(p.relative_to(top)) for p in top.rglob("*") if p.is_file()}
 
     names_left, names_right = files(left), files(right)
+    found = []
     for name in sorted(names_left | names_right):
         if name not in names_right:
-            return f"{name}: written by {rev} only"
+            found.append(f"{name}: written by {rev} only")
+            continue
         if name not in names_left:
-            return f"{name}: written by the working tree only"
+            found.append(f"{name}: written by the working tree only")
+            continue
         a = (left / name).read_bytes().decode("utf-8", "replace").split("\n")
         b = (right / name).read_bytes().decode("utf-8", "replace").split("\n")
         if a == b:
@@ -172,8 +176,8 @@ def first_difference(left: Path, right: Path, rev: str) -> str | None:
         for side, lines in ((rev, a), ("working tree", b)):
             text = repr(lines[line][:200]) if line < len(lines) else "(end of file)"
             shown.append(f"  {side}: {text}")
-        return "\n".join(shown)
-    return None
+        found.append("\n".join(shown))
+    return found
 
 
 def main() -> int:
@@ -202,9 +206,9 @@ def main() -> int:
             if proc.wait():
                 side = args.rev if name == "rev" else "the working tree"
                 sys.exit(f"the suite failed on {side}:\n{(work / f'{name}.log').read_text()}")
-        difference = first_difference(work / "out-rev", work / "out-tree", args.rev)
-    print(difference or "identical")
-    return 1 if difference else 0
+        found = differences(work / "out-rev", work / "out-tree", args.rev)
+    print("\n".join(found) or "identical")
+    return 1 if found else 0
 
 
 if __name__ == "__main__":

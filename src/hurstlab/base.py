@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AllSubseriesDegenerate, InsufficientWindows, NonPositiveStatistic,
-                     SeriesError, ZeroFluctuation, ZeroVariance)
+from .errors import (AllSubseriesDegenerate, InsufficientWindows, InvalidWindow,
+                     NonPositiveStatistic, SeriesError, ZeroFluctuation, ZeroVariance)
 from .regression import RegressionFit, fit_rows
 
 __all__ = [
@@ -97,7 +97,7 @@ class WindowPolicy:
 
     def __post_init__(self):
         if self.min_window < 2:
-            raise ValueError(f"min_window must be >= 2, got {self.min_window}")
+            raise InvalidWindow(f"min_window must be >= 2, got {self.min_window}")
         if self.max_window_rule not in MAX_WINDOW_RULES:
             raise ValueError(
                 f"max_window_rule must be one of {MAX_WINDOW_RULES}, "

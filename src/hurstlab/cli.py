@@ -5,26 +5,15 @@ Subcommands:
   simulate     Run the Monte Carlo grid, write report + plot-data files.
   expected-rs  Print the small-sample E(R/S)_n correction table.
 
-Exit codes: 0 success, 2 input/parse error, 3 estimation/simulation error,
-4 output I/O error. The master seed resolves as CLI flag, then the
-HURSTLAB_SEED environment variable, then the built-in default; it must lie
-in [0, 2**64 - 1], the range the stream derivation distinguishes.
+Exit codes: 0 success, 2 invalid input (found from the input's length and
+range and the options alone), 3 data the estimators cannot handle, 4 output
+I/O error. The master seed resolves as CLI flag, then the HURSTLAB_SEED
+environment variable, then the built-in default; it must lie in
+[0, 2**64 - 1], the range the stream derivation distinguishes.
 
 simulate writes its report and, beside it, one plot-data CSV per (method,
 iteration count). Two outputs that are one file, by name, symlink or hard
-link, exit 2 before any cell runs. An output that exists is rewritten in
-place: the new bytes go over the old ones and any old tail is cut off, so
-the file keeps its mode and a symlink or hard link still reaches it. The
-file is never truncated to zero first, because ext4 starts writeback at
-close() of a file truncated and rewritten that way (auto_da_alloc,
-ext4(5)), which cost more than the writes themselves. Outputs are not
-fsynced, as before. After a crash or power loss, an output written just
-before it may hold a mix of old and new blocks at the new length, which
-still parses but has wrong rows, and nothing marks it as torn. Regenerate
-such outputs from their seed, which reproduces them byte for byte. The
-bytes written are exactly ``text.encode("utf-8")`` with ``\n`` line ends:
-what ``Path.write_text`` wrote on POSIX, without the ``\r`` that text mode
-adds on Windows, so reports match across systems.
+link, exit 2 before any cell runs; :func:`_write_output` writes each.
 """
 
 from __future__ import annotations
@@ -35,15 +24,14 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .base import MAX_WINDOW_RULES, WindowPolicy
+from .dfa import DFA_MIN_WINDOW
 from .errors import (
     HurstLabError,
     InsufficientWindows,
     InvalidWindow,
-    SeriesParseError,
+    SeriesError,
 )
 from .montecarlo import (
     DEFAULT_ITERATION_COUNTS,
@@ -63,12 +51,11 @@ from .report import (
     report_to_json,
 )
 from .rs import expected_rs
-from .series import SD_MODES
+from .series import SD_MODES, as_series
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "HURSTLAB_SEED"
 MAX_SEED = 2**64 - 1
-MIN_CLI_OBSERVATIONS = 16
 # expected-rs rows cost O(n) time and memory; the library function is unbounded.
 MAX_EXPECTED_RS_N = 10**6
 MAX_EXPECTED_RS_ROWS = 1000
@@ -156,38 +143,17 @@ def _resolve_seed(flag_value: int | None) -> int:
     return seed
 
 
-def _build_policy(args) -> WindowPolicy:
-    try:
-        return WindowPolicy(min_window=args.min_window,
-                            max_window_rule=args.max_window_rule)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
-
-
 def cmd_estimate(args) -> int:
-    policy = _build_policy(args)
+    policy = WindowPolicy(args.min_window, args.max_window_rule)
     try:
         values = read_series_file(args.input)
     except OSError as exc:
         print(f"hurstlab: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if values.size < MIN_CLI_OBSERVATIONS:
-        raise InsufficientWindows(
-            f"series of length {values.size} is below the CLI minimum of "
-            f"{MIN_CLI_OBSERVATIONS} observations"
-        )
-
+    values = as_series(values)
     wanted = METHODS if args.method == "all" else [args.method.upper()]
-    # A series whose squares exceed the float64 range would otherwise give
-    # NaN or meaningless estimates with exit 0.
-    try:
-        with np.errstate(over="raise"):
-            results = [METHODS[name](values[None, :], policy, args.sd_mode,
-                                     args.vtp_divisors_only).result() for name in wanted]
-    except FloatingPointError as exc:
-        print(f"hurstlab: {exc}: the series values are too large to estimate "
-              "in float64 arithmetic", file=sys.stderr)
-        return EXIT_ESTIMATION
+    results = [METHODS[name](values[None, :], policy, args.sd_mode,
+                             args.vtp_divisors_only).result() for name in wanted]
 
     options = {
         "method": args.method,
@@ -206,9 +172,14 @@ def cmd_estimate(args) -> int:
 
 
 def _write_output(path: Path, text: str) -> None:
-    """Write ``text`` as UTF-8 over the file at ``path``, creating it if
-    missing and cutting off any longer old content; see the module docstring
-    for why the file is not truncated first."""
+    """Write ``text`` as UTF-8 with ``\\n`` line ends, on every system, over
+    the file at ``path``, creating it if missing. An existing file keeps its
+    mode and links: the new bytes go over the old, and a longer old tail is
+    cut off. It is never truncated to zero first, because ext4 starts
+    writeback at close() of a file truncated and rewritten that way
+    (auto_da_alloc, ext4(5)), which cost more than the writes. Outputs are
+    not fsynced: one written just before a crash may hold a mix of old and
+    new blocks, unmarked, so regenerate it from its seed."""
     data = text.encode("utf-8")
     # O_BINARY (Windows only) keeps the bytes as given, without \r added.
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
@@ -242,15 +213,17 @@ def _check_distinct_outputs(out: Path, plot_paths: list[Path]) -> None:
 
 
 def cmd_simulate(args) -> int:
-    policy = _build_policy(args)
+    policy = WindowPolicy(args.min_window, args.max_window_rule)
     seed = _resolve_seed(args.seed)
     try:
         cells = make_grid(args.lambdas, args.sizes, args.iteration_counts)
     except ValueError as exc:
         raise _InputError(str(exc)) from None
-    too_long = [size for size in args.sizes if size > MAX_SIMULATE_SIZE]
-    if too_long:
-        raise _InputError(f"size {too_long[0]} is above the limit of {MAX_SIMULATE_SIZE}")
+    for size in args.sizes:
+        if size > MAX_SIMULATE_SIZE:
+            raise _InputError(f"size {size} is above the limit of {MAX_SIMULATE_SIZE}")
+        # DFA's window set is the smallest: R/Sal and VTP have 2 scales where it has 2
+        policy.windows(size, min_window=DFA_MIN_WINDOW)
     too_many = [n for n in args.iteration_counts if n > MAX_SIMULATE_ITERATIONS]
     if too_many:
         raise _InputError(f"iteration count {too_many[0]} is above the limit of "
@@ -317,7 +290,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SeriesParseError, _InputError) as exc:
+    except (SeriesError, InsufficientWindows, InvalidWindow, _InputError) as exc:
         print(f"hurstlab: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except HurstLabError as exc:

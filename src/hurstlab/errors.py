@@ -15,7 +15,7 @@ class SeriesError(HurstLabError):
 
 
 class InvalidWindow(HurstLabError):
-    """Window length outside the domain of the expected-R/S correction."""
+    """A policy's min_window below 2, or an n outside expected_rs's domain."""
 
 
 class DegenerateDesign(HurstLabError):
@@ -27,7 +27,7 @@ class AllSubseriesDegenerate(HurstLabError):
 
 
 class InsufficientWindows(HurstLabError):
-    """The window policy yields fewer than 2 usable windows."""
+    """Fewer than 2 usable scales: windows from the policy, or VTP block sizes."""
 
 
 class NonPositiveStatistic(HurstLabError):
@@ -46,10 +46,6 @@ class ZeroVariance(HurstLabError):
     """Aggregated series has zero variance, so its log is undefined."""
 
 
-class InsufficientScales(HurstLabError):
-    """Fewer than 2 usable aggregation scales."""
-
-
 class EmptyEstimates(HurstLabError):
     """MSE requested over an empty list of estimates."""
 
@@ -58,7 +54,7 @@ class CellFailed(HurstLabError):
     """Every iteration of a simulation cell failed for some method."""
 
 
-class SeriesParseError(HurstLabError):
+class SeriesParseError(SeriesError):
     """A series file line could not be parsed; carries the 1-based line number."""
 
     def __init__(self, line_number: int, message: str):

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SeriesError
+from .series import _check_range
 
 __all__ = ["GENERATOR_NAME", "ExponentialSpec", "exponential_rows"]
 
@@ -53,6 +54,9 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# The largest draw at rate 1: a uniform of 0.0 is bumped to the smallest subnormal.
+_DRAW_MAX = -math.log(math.ulp(0.0))
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
@@ -140,7 +144,8 @@ def _generator(words: np.ndarray) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ExponentialSpec:
-    """Rate parameter (lambda) and length of one exponential sample."""
+    """Rate parameter (lambda) and length of one exponential sample; its draw
+    range, up to _DRAW_MAX / lambda, must pass ``as_series``'s range rule."""
 
     lam: float
     length: int
@@ -150,6 +155,8 @@ class ExponentialSpec:
             raise SeriesError(f"rate must be a finite positive number, got {self.lam}")
         if self.length < 2:
             raise SeriesError(f"sample length must be >= 2, got {self.length}")
+        top = _DRAW_MAX / self.lam
+        _check_range(self.length, top, top, f"Exponential({self.lam!r}) draws")
 
 
 def exponential_rows(master_seed: int, cell_id: int, start: int, stop: int,

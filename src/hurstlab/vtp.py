@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .base import EstimatorResult, LogLogFits, divisors, loglog_fits
-from .errors import InsufficientScales, ScaleTooLarge
+from .errors import InsufficientWindows, ScaleTooLarge
 from .series import as_series
 
 __all__ = [
@@ -132,7 +132,7 @@ def vtp_batch(x: np.ndarray, scales=None, divisors_only: bool = False) -> LogLog
     else:
         ws = tuple(_check_scale(n_obs, w) for w in scales)
     if len(set(ws)) < 2:
-        raise InsufficientScales(f"need >= 2 distinct block sizes, got {sorted(set(ws))}")
+        raise InsufficientWindows(f"need >= 2 distinct block sizes, got {sorted(set(ws))}")
     fits = loglog_fits("VTP", ws, scale_variances(x, ws))
     beta = -fits.slope
     return replace(fits, hurst=1.0 - beta / 2.0)

@@ -113,24 +113,56 @@ class TestEstimate:
         assert second["results"][0] == first["results"][0]
 
     def test_short_file_is_estimation_error(self, tmp_path, capsys):
+        # DFA has one window at N = 8, so the input is invalid: exit 2
         path = tmp_path / "short.txt"
         path.write_text("\n".join(str(i + 1) for i in range(8)) + "\n")
-        assert main(["estimate", str(path)]) == 3
-        assert "InsufficientWindows" in capsys.readouterr().err
+        assert main(["estimate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "hurstlab: policy yields 1 window(s) for N=8 (need >= 2; divisors of N in [4, 4])\n")
+
+    def test_twelve_point_file_estimates(self, tmp_path, capsys):
+        # the window policy alone decides whether a series is long enough
+        path = tmp_path / "twelve.txt"
+        sample = exponential_rows(5, 0, 0, 1, ExponentialSpec(1.0, 12))[0]
+        path.write_text("".join(f"{x!r}\n" for x in sample.tolist()))
+        assert main(["estimate", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [len(r["points"]) for r in doc["results"]] == [4, 2, 3]
 
     @pytest.mark.parametrize("method", ["all", "rsal", "dfa", "vtp"])
     def test_overflowing_squares_are_estimation_error(self, tmp_path, capsys, method):
-        # finite values whose squares exceed the float64 range
+        # finite values whose squares exceed the float64 range: as_series
+        # rejects them before any estimate, so the exit code is 2
         sample = exponential_rows(5, 0, 0, 1, ExponentialSpec(1.0, 256))[0]
         path = tmp_path / "huge.txt"
         path.write_text("".join(f"{x!r}\n" for x in (sample * 1e200).tolist()))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["estimate", str(path), "--method", method]) == 3
+            assert main(["estimate", str(path), "--method", method]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("hurstlab: overflow encountered in multiply: the series values "
-                       "are too large to estimate in float64 arithmetic\n")
+        assert err.startswith("hurstlab: series: |x| up to ")
+        assert err.endswith(" overflows float64 squares above 1.6367e+150 at N = 256\n")
+
+    @pytest.mark.parametrize("scale, rule", [(1e200, "|x| up to"), (1e154, "|x| up to"),
+                                             (1e-170, "spread")])
+    def test_out_of_range_series_exits_2(self, tmp_path, capsys, scale, rule):
+        sample = np.random.default_rng(42).exponential(size=256) * scale
+        path = tmp_path / "scaled.txt"
+        path.write_text("".join(f"{x!r}\n" for x in sample.tolist()))
+        assert main(["estimate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"hurstlab: series: {rule} ")
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_min_window_below_two_exits_2(self, series_file, capsys, monkeypatch, command):
+        monkeypatch.setattr("hurstlab.montecarlo.run_cell", _no_cell_may_run)
+        path = series_file(length=64)
+        argv = ([command, str(path)] if command == "estimate" else
+                [command, "--sizes", "64", "--out", str(path.parent / "r.json")])
+        assert main([*argv, "--min-window", "1"]) == 2
+        assert capsys.readouterr().err == "hurstlab: min_window must be >= 2, got 1\n"
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["estimate", str(tmp_path / "nope.txt")]) == 2
@@ -180,25 +212,44 @@ class TestSimulate:
         ]) == 0
         assert out.read_text().startswith("# method=RSAL")
 
-    def test_unviable_size_exits_3(self, tmp_path, capsys):
+    def test_unviable_size_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("hurstlab.montecarlo.run_cell", _no_cell_may_run)
         assert main([
             "simulate", "--lambdas", "0.5", "--sizes", "12",
             "--iteration-counts", "3", "--out", str(tmp_path / "r.json"),
             "--min-window", "8",
-        ]) == 3
+        ]) == 2
 
-    @pytest.mark.parametrize("size", [3, 127])
-    def test_size_without_windows_exits_3_with_insufficient_windows(self, tmp_path, capsys,
-                                                                    size):
-        # R/Sal's window set is the first to fail: no divisor of N in [2, N/2]
+    @pytest.mark.parametrize("sizes", [["3"], ["127"], ["128", "127"]],
+                             ids=["3", "127", "128-127"])
+    def test_size_without_windows_exits_2_before_any_cell(self, tmp_path, capsys,
+                                                          monkeypatch, sizes):
+        # every size's DFA window set is checked before any cell runs
+        monkeypatch.setattr("hurstlab.montecarlo.run_cell", _no_cell_may_run)
         out = tmp_path / "r.json"
         assert main([
-            "simulate", "--lambdas", "0.5", "--sizes", str(size),
+            "simulate", "--lambdas", "0.5", "--sizes", *sizes,
             "--iteration-counts", "3", "--out", str(out),
-        ]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("hurstlab: InsufficientWindows: ")
-        assert f"N={size} " in err
+        ]) == 2
+        size = int(sizes[-1])
+        assert capsys.readouterr().err == (
+            f"hurstlab: policy yields 0 window(s) for N={size} "
+            f"(need >= 2; divisors of N in [4, {size // 2}])\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lambdas, message", [
+        (["0.5", "1", "2", "1e308"], "Exponential(1e+308) draws: spread 7.4444e-306 "
+                                     "underflows float64 squares below 2**-458"),
+        (["1e-320"], "Exponential(1e-320) draws: |x| up to inf overflows float64 "
+                     "squares above 4.62927e+150 at N = 128"),
+    ])
+    def test_rate_out_of_range_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch,
+                                                       lambdas, message):
+        monkeypatch.setattr("hurstlab.montecarlo.run_cell", _no_cell_may_run)
+        out = tmp_path / "r.json"
+        assert main(["simulate", "--lambdas", *lambdas, "--iteration-counts", "1000",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"hurstlab: {message}\n"
         assert not out.exists()
 
     def test_unwritable_output_exits_4(self, tmp_path):

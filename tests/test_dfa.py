@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hurstlab.base import WARN_NONSTATIONARY
-from hurstlab.dfa import dfa_fluctuations, estimate_dfa
+from hurstlab.dfa import dfa_batch, dfa_fluctuations, estimate_dfa
 from hurstlab.errors import (
     InsufficientWindows,
     SeriesError,
@@ -89,11 +89,12 @@ class TestEstimateDfa:
 
     def test_overflowing_fluctuations_raise(self, exp_series):
         # profiles of values near 1e200 square past the float64 range at
-        # every window; the estimate used to come back as NaN
+        # every window; as_series rejects such a series, so call the kernel
+        rows = exp_series(256, seed=47)[None, :] * 1e200
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 SeriesError, match=r"^statistic is not finite \(float64 overflow\) "
                                    r"at n=\[4, 8, 16, 32, 64, 128\]$"):
-            estimate_dfa(exp_series(256, seed=47) * 1e200)
+            dfa_batch(rows).result()
 
     def test_nonstationary_warning_above_one(self, monkeypatch):
         # fixture: every (log n, log F(n)) on an exact slope-1.2 line

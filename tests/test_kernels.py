@@ -27,7 +27,7 @@ from hurstlab.rs import (
     rsal_batch,
 )
 from hurstlab.sampling import ExponentialSpec, exponential_rows
-from hurstlab.vtp import estimate_vtp, vtp_batch
+from hurstlab.vtp import _default_ws, estimate_vtp, vtp_batch
 from oracles import assert_results_equal, rescaled_ranges_reference, rs_statistics_reference
 
 POLICIES = (DEFAULT_POLICY, WindowPolicy(min_window=4, max_window_rule="full-N"))
@@ -87,6 +87,23 @@ def test_window_policy_gives_the_divisors_in_range(n_obs, min_window, rule, floo
             policy.windows(n_obs, floor)
     else:
         assert policy.windows(n_obs, floor) == expected
+
+
+def test_dfa_window_set_is_the_smallest():
+    """simulate checks only DFA's windows before any cell runs: wherever
+    they number 2 or more, so do R/Sal's windows and both default VTP scale
+    sets. Exhaustive over N = 2..600, min_window 2..24 and both rules."""
+    for n_obs in range(2, 601):
+        vtp_sets = [_default_ws(n_obs, divisors_only) for divisors_only in (False, True)]
+        for min_window in range(2, 25):
+            for rule in MAX_WINDOW_RULES:
+                policy = WindowPolicy(min_window, rule)
+                try:
+                    policy.windows(n_obs, DFA_MIN_WINDOW)
+                except InsufficientWindows:
+                    continue
+                assert len(policy.windows(n_obs)) >= 2
+                assert all(len(set(ws)) >= 2 for ws in vtp_sets), (n_obs, min_window, rule)
 
 
 def _subseries(seed: int, rows: int, d: int, n: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import stats
 
 from hurstlab.errors import SeriesError
 from hurstlab.sampling import ExponentialSpec, exponential_rows
+from hurstlab.series import as_series
 from oracles import exponential_rows_reference, spawn_key_uniforms
 
 GRID_LAMBDAS = (0.1, 0.5, 1.5, 3.0, 5.0, 7.0)
@@ -129,6 +131,29 @@ class TestExponentialSpec:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(SeriesError):
             ExponentialSpec(lam=0.0, length=16)
+
+    def test_rejects_infinite_rate(self):
+        # every draw would be 0: a constant series, which the gate accepts
+        with pytest.raises(SeriesError, match="finite positive"):
+            ExponentialSpec(lam=math.inf, length=16)
+
+    @pytest.mark.parametrize("length", [2, 128, 65536])
+    def test_rate_edges_follow_the_draw_range(self, length):
+        # draws span (0, top / lambda]: top is -ln of the smallest subnormal,
+        # which a uniform of 0.0 is bumped to
+        top = -math.log(math.ulp(0.0))
+        bound = math.sqrt(sys.float_info.max / (4.0 * length**3))
+        lowest = top / bound
+        ExponentialSpec(lowest * (1 + 2**-50), length)
+        with pytest.raises(SeriesError, match="overflows float64 squares"):
+            ExponentialSpec(lowest * (1 - 2**-50), length)
+        # the spread rule's edge, top / lambda = 2**-458, is exact
+        highest = math.ldexp(top, 458)
+        ExponentialSpec(highest, length)
+        with pytest.raises(SeriesError, match="underflows float64 squares"):
+            ExponentialSpec(math.nextafter(highest, math.inf), length)
+        # the largest possible draw at the lowest rate passes as_series
+        as_series(np.append(np.zeros(length - 1), top / (lowest * (1 + 2**-50))))
 
     def test_rejects_short_length(self):
         with pytest.raises(SeriesError):

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hurstlab.errors import InsufficientScales, ScaleTooLarge, SeriesError, ZeroVariance
-from hurstlab.vtp import _default_ws, _gather_plan, estimate_vtp, scale_variances
+from hurstlab.errors import InsufficientWindows, ScaleTooLarge, SeriesError, ZeroVariance
+from hurstlab.vtp import _default_ws, _gather_plan, estimate_vtp, scale_variances, vtp_batch
 from oracles import (
     aggregated_variance_reference,
     assert_results_equal,
@@ -181,7 +181,7 @@ class TestEstimateVtp:
                 estimate_vtp(series, scales=[1, bad, 4])
 
     def test_insufficient_scales(self, exp_series):
-        with pytest.raises(InsufficientScales):
+        with pytest.raises(InsufficientWindows):
             estimate_vtp(exp_series(64, seed=45), scales=[4])
 
     def test_zero_variance_propagates(self):
@@ -190,10 +190,11 @@ class TestEstimateVtp:
 
     def test_overflowing_variances_raise(self, exp_series):
         # block means near 1e200 square past the float64 range at every
-        # block size; the estimate used to come back as NaN
+        # block size; as_series rejects such a series, so call the kernel
+        rows = exp_series(256, seed=47)[None, :] * 1e200
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SeriesError) as excinfo:
-                estimate_vtp(exp_series(256, seed=47) * 1e200)
+                vtp_batch(rows).result()
         assert str(excinfo.value) == (
             f"statistic is not finite (float64 overflow) at w={list(range(1, 65))}")
 
