@@ -1,13 +1,17 @@
 """Microseconds per series of the draw and of the R/Sal, DFA and VTP kernels,
 milliseconds per cold VTP estimate, per estimate document and per one-cell
-``simulate`` call.
+``simulate`` call, and the minor page faults of each timed call.
 
 Usage, from anywhere:
 
-    python3 scripts/time_kernels.py --root CHECKOUT --seed 1 --calls 200
+    python3 scripts/time_kernels.py --root CHECKOUT --seed 1 --calls 200 \
+        [--chunk-elements K]
 
 Imports hurstlab from ``CHECKOUT/src`` only, so two checkouts can be timed
-with one copy of this script. For N = 128 and N = 1024 it draws one chunk
+with one copy of this script. ``--chunk-elements K`` sets
+``montecarlo.CHUNK_ELEMENTS`` to K in this process before anything runs, so
+that each arm of a chunk-size sweep is one command; the program itself has
+no such setting. For N = 128 and N = 1024 it draws one chunk
 of exponential series, as many rows as ``montecarlo.chunk_rows`` gives a
 simulation cell of that length, and times ``rsal_batch``, ``dfa_batch`` and
 ``vtp_batch`` on it after one warm-up call. The ``draw`` row times
@@ -41,6 +45,18 @@ all made before the timing. The directories are made under the system
 temporary directory (``TMPDIR``), whose filesystem sets what rewriting a
 file costs.
 
+The ``simulate_cell`` rows time one-cell ``simulate`` calls shaped like the
+benchmark's timed operations (rate 1.5; N = 128 and 256 with 50 iterations,
+N = 512 and 1024 with 25), rewriting one directory's outputs, in
+milliseconds per call.
+
+Every timed row also gives ``minflt_per_call``: the growth of
+``resource.getrusage(RUSAGE_SELF).ru_minflt`` over its timed calls, per
+call. A call that frees memory back to the system and takes it again
+faults those pages afresh. Every row that runs ``run_cell`` (``draw``,
+``draw_new_seed``, ``simulate_*``) gives ``chunks_per_call``, the number of
+``exponential_rows`` calls, one per chunk, that one call makes.
+
 The perfbench tracer does not wrap these kernels, the chunk draw or the
 output writes, so their per-layer rows are timed here.
 """
@@ -52,6 +68,7 @@ import io
 import itertools
 import json
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -62,6 +79,8 @@ from types import SimpleNamespace
 
 LENGTHS = (128, 1024)
 LONG_LENGTH = 32768
+# (N, iterations) of the benchmark's one-cell calls: mc-short and mc-long.
+CELL_SHAPES = ((128, 50), (256, 50), (512, 25), (1024, 25))
 
 
 def main() -> int:
@@ -69,7 +88,11 @@ def main() -> int:
     parser.add_argument("--root", type=Path, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--calls", type=int, default=200)
+    parser.add_argument("--chunk-elements", type=int,
+                        help="set montecarlo.CHUNK_ELEMENTS in this process")
     args = parser.parse_args()
+    if args.chunk_elements is not None and args.chunk_elements < 1:
+        parser.error("--chunk-elements must be >= 1")
     # One BLAS thread and one CPU, as perfbench/run.py times its workloads.
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[name] = "1"
@@ -84,17 +107,42 @@ def main() -> int:
     from hurstlab.rs import estimate_rsal, rsal_batch
     from hurstlab.vtp import estimate_vtp, vtp_batch
 
-    def median_s(call) -> float:
+    if args.chunk_elements is not None:
+        montecarlo.CHUNK_ELEMENTS = args.chunk_elements
+    metrics = {}
+    chunks = 0
+    draw_rows = montecarlo.exponential_rows
+
+    def counted_rows(*a, **k):
+        nonlocal chunks
+        chunks += 1
+        return draw_rows(*a, **k)
+
+    montecarlo.exponential_rows = counted_rows
+
+    def median_s(name: str, call) -> float:
+        """Median seconds per call after one warm-up call; records the row's
+        minor faults per call, and its chunks per call if it drew any."""
+        nonlocal chunks
         call()
         times = []
+        chunks = 0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(args.calls):
             start = time.perf_counter()
             call()
             times.append(time.perf_counter() - start)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        metrics[f"{name}.minflt_per_call"] = faults / args.calls
+        if chunks:
+            metrics[f"{name}.chunks_per_call"] = chunks / args.calls
         return float(np.median(times))
 
-    def us_per_series(call, n_rows: int) -> float:
-        return median_s(call) / n_rows * 1e6
+    def us_per_series(name: str, call, n_rows: int) -> None:
+        metrics[f"{name}.us_per_series"] = median_s(name, call) / n_rows * 1e6
+
+    def ms_per_call(name: str, call) -> None:
+        metrics[f"{name}.ms_per_call"] = median_s(name, call) * 1e3
 
     stub_calls = 0
 
@@ -104,7 +152,7 @@ def main() -> int:
         return SimpleNamespace(hurst=np.full(x.shape[0], 0.5))
 
     rng = np.random.default_rng(args.seed)
-    rows, metrics = {}, {}
+    rows = {}
     for n_obs in LENGTHS:
         rows[n_obs] = montecarlo.chunk_rows(n_obs)
         print(f"N = {n_obs}: {rows[n_obs]} rows per chunk", file=sys.stderr)
@@ -113,11 +161,11 @@ def main() -> int:
         montecarlo.rsal_batch = montecarlo.dfa_batch = montecarlo.vtp_batch = stub_fit
         stub_calls = 0
         try:
-            metrics[f"draw.N{n_obs}.us_per_series"] = us_per_series(
-                lambda: montecarlo.run_cell(cell, args.seed), rows[n_obs])
+            us_per_series(f"draw.N{n_obs}",
+                          lambda: montecarlo.run_cell(cell, args.seed), rows[n_obs])
             seeds = itertools.count(args.seed)
-            metrics[f"draw_new_seed.N{n_obs}.us_per_series"] = us_per_series(
-                lambda: montecarlo.run_cell(cell, next(seeds)), rows[n_obs])
+            us_per_series(f"draw_new_seed.N{n_obs}",
+                          lambda: montecarlo.run_cell(cell, next(seeds)), rows[n_obs])
         finally:
             montecarlo.rsal_batch, montecarlo.dfa_batch, montecarlo.vtp_batch = kernels
         if not stub_calls:
@@ -126,20 +174,18 @@ def main() -> int:
                      "through that seam, so the rows would time the real kernels")
         x = rng.exponential(size=(rows[n_obs], n_obs))
         for kernel in (rsal_batch, dfa_batch, vtp_batch):
-            metrics[f"{kernel.__name__}.N{n_obs}.us_per_series"] = us_per_series(
-                lambda: kernel(x), rows[n_obs])
+            us_per_series(f"{kernel.__name__}.N{n_obs}", lambda: kernel(x), rows[n_obs])
 
     series = rng.exponential(size=LONG_LENGTH)
     for kernel in (rsal_batch, dfa_batch):
-        metrics[f"{kernel.__name__}.N{LONG_LENGTH}.us_per_series"] = us_per_series(
-            lambda: kernel(series[None, :]), 1)
+        us_per_series(f"{kernel.__name__}.N{LONG_LENGTH}", lambda: kernel(series[None, :]), 1)
 
     def cold_vtp() -> None:
         vtp._gather_plan.cache_clear()
         estimate_vtp(series)
 
     cold = f"vtp_cold.N{LONG_LENGTH}"
-    metrics[f"{cold}.ms_per_call"] = median_s(cold_vtp) * 1e3
+    ms_per_call(cold, cold_vtp)
     tracemalloc.start()
     cold_vtp()
     metrics[f"{cold}.peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
@@ -148,12 +194,13 @@ def main() -> int:
     results = [estimate_rsal(series), estimate_dfa(series), estimate_vtp(series)]
     options = {"method": "all", "min_window": 2, "max_window_rule": "half-N",
                "sd_mode": "sample", "vtp_divisors_only": False}
-    metrics[f"estimates_to_json.N{LONG_LENGTH}.ms_per_call"] = median_s(
-        lambda: estimates_to_json(results, "series.txt", LONG_LENGTH, options)) * 1e3
+    ms_per_call(f"estimates_to_json.N{LONG_LENGTH}",
+                lambda: estimates_to_json(results, "series.txt", LONG_LENGTH, options))
 
-    def simulate(directory: Path) -> None:
-        argv = ["simulate", "--lambdas", "1.5", "--sizes", "128", "--iteration-counts",
-                "1", "--seed", str(args.seed), "--out", str(directory / "report.json")]
+    def simulate(directory: Path, n_obs: int = 128, iterations: int = 1) -> None:
+        argv = ["simulate", "--lambdas", "1.5", "--sizes", str(n_obs), "--iteration-counts",
+                str(iterations), "--seed", str(args.seed),
+                "--out", str(directory / "report.json")]
         with redirect_stderr(io.StringIO()) as err:
             code = cli_main(argv)
         if code != 0:
@@ -164,12 +211,14 @@ def main() -> int:
         for directory in fresh:
             directory.mkdir()
         unused = iter(fresh)
-        metrics["simulate_rewrite.ms_per_call"] = median_s(
-            lambda: simulate(Path(work))) * 1e3
-        metrics["simulate_fresh.ms_per_call"] = median_s(
-            lambda: simulate(next(unused))) * 1e3
+        ms_per_call("simulate_rewrite", lambda: simulate(Path(work)))
+        ms_per_call("simulate_fresh", lambda: simulate(next(unused)))
+        for n_obs, iterations in CELL_SHAPES:
+            ms_per_call(f"simulate_cell.N{n_obs}x{iterations}",
+                        lambda: simulate(Path(work), n_obs, iterations))
     print(json.dumps({"numpy": np.__version__, "seed": args.seed, "rows": rows,
-                      "calls": args.calls, "metrics": metrics}))
+                      "chunk_elements": montecarlo.CHUNK_ELEMENTS, "calls": args.calls,
+                      "metrics": metrics}))
     return 0
 
 

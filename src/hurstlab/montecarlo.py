@@ -76,8 +76,13 @@ DEFAULT_ITERATION_COUNTS = (100, 500, 1000)
 # one, so memory stays flat however many iterations a cell has. The widest
 # per-row array is VTP's block means, about N * (ln(N/4) + 0.58) values, so
 # a chunk's working set is about CHUNK_ELEMENTS * (ln(N/4) + 0.58) float64
-# values, 1.2 MB at N = 16384; a longer series is a chunk of its own.
-CHUNK_ELEMENTS = 16 * 1024
+# values, 2.3 MB at N = 16384 (a 2 MiB L2 per core on the host of
+# BENCH_20.json); a longer series is a chunk of its own. Each chunk pays a
+# fixed cost of a few rows' time, so fewer, larger chunks are faster until
+# they outgrow the cache: in BENCH_20.json's sweep, 32 Ki ran the default
+# grid 5-9% faster than 16 Ki (which runs a 25-iteration N = 1024 cell as
+# two chunks), and 64 Ki was slower than 32 Ki and raised peak RSS by 19%.
+CHUNK_ELEMENTS = 32 * 1024
 
 
 @dataclass(frozen=True)

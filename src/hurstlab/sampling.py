@@ -57,6 +57,9 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 # The largest draw at rate 1: a uniform of 0.0 is bumped to the smallest subnormal.
 _DRAW_MAX = -math.log(math.ulp(0.0))
+# The smallest gap between two distinct draws at rate 1. Uniforms are k * 2**-53,
+# and the draws of k and k + 1 differ by ln((k + 1) / k), least at the largest k.
+_DRAW_GAP = -math.log1p(-2.0**-53)
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
@@ -144,8 +147,9 @@ def _generator(words: np.ndarray) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ExponentialSpec:
-    """Rate parameter (lambda) and length of one exponential sample; its draw
-    range, up to _DRAW_MAX / lambda, must pass ``as_series``'s range rule."""
+    """Rate parameter (lambda) and length of one exponential sample. Its draws
+    must pass ``as_series``'s range rule: they reach _DRAW_MAX / lambda, and a
+    sample that is not constant spreads at least _DRAW_GAP / lambda."""
 
     lam: float
     length: int
@@ -156,7 +160,9 @@ class ExponentialSpec:
         if self.length < 2:
             raise SeriesError(f"sample length must be >= 2, got {self.length}")
         top = _DRAW_MAX / self.lam
-        _check_range(self.length, top, top, f"Exponential({self.lam!r}) draws")
+        # a gap that underflows to 0 is still below the spread edge
+        gap = _DRAW_GAP / self.lam or math.ulp(0.0)
+        _check_range(self.length, top, gap, f"Exponential({self.lam!r}) draws")
 
 
 def exponential_rows(master_seed: int, cell_id: int, start: int, stop: int,

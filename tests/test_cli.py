@@ -238,10 +238,12 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize("lambdas, message", [
-        (["0.5", "1", "2", "1e308"], "Exponential(1e+308) draws: spread 7.4444e-306 "
+        (["0.5", "1", "2", "1e308"], "Exponential(1e+308) draws: spread 4.94066e-324 "
                                      "underflows float64 squares below 2**-458"),
         (["1e-320"], "Exponential(1e-320) draws: |x| up to inf overflows float64 "
                      "squares above 4.62927e+150 at N = 128"),
+        (["5e140"], "Exponential(5e+140) draws: spread 2.22045e-157 "
+                    "underflows float64 squares below 2**-458"),
     ])
     def test_rate_out_of_range_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch,
                                                        lambdas, message):

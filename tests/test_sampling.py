@@ -1,4 +1,5 @@
 import math
+import struct
 import sys
 
 import numpy as np
@@ -138,7 +139,7 @@ class TestExponentialSpec:
             ExponentialSpec(lam=math.inf, length=16)
 
     @pytest.mark.parametrize("length", [2, 128, 65536])
-    def test_rate_edges_follow_the_draw_range(self, length):
+    def test_rate_edges_follow_the_draw_range(self, length, monkeypatch):
         # draws span (0, top / lambda]: top is -ln of the smallest subnormal,
         # which a uniform of 0.0 is bumped to
         top = -math.log(math.ulp(0.0))
@@ -147,13 +148,40 @@ class TestExponentialSpec:
         ExponentialSpec(lowest * (1 + 2**-50), length)
         with pytest.raises(SeriesError, match="overflows float64 squares"):
             ExponentialSpec(lowest * (1 - 2**-50), length)
-        # the spread rule's edge, top / lambda = 2**-458, is exact
-        highest = math.ldexp(top, 458)
+        # the largest possible draw at the lowest rate passes as_series
+        as_series(np.append(np.zeros(length - 1), top / (lowest * (1 + 2**-50))))
+        # two distinct draws differ by at least gap / lambda, the gap between
+        # the draws of the two largest uniforms; the spread rule's edge,
+        # gap / lambda = 2**-458, is exact
+        gap = -math.log1p(-2.0**-53)
+        highest = math.ldexp(gap, 458)
         ExponentialSpec(highest, length)
         with pytest.raises(SeriesError, match="underflows float64 squares"):
             ExponentialSpec(math.nextafter(highest, math.inf), length)
-        # the largest possible draw at the lowest rate passes as_series
-        as_series(np.append(np.zeros(length - 1), top / (lowest * (1 + 2**-50))))
+        # a row of those two draws, the least spread at the highest rate, passes
+        plant_uniforms(monkeypatch, [1 - 2.0**-53, 1 - 2.0**-52])
+        row = one_row(0, 0, 0, length, lam=highest)
+        assert row.max() - row.min() == 2.0**-458
+        as_series(row)
+
+    @pytest.mark.parametrize("length, rows", [(2, 4096), (128, 256)])
+    def test_rows_drawn_at_the_highest_rate_pass_the_gate(self, length, rows):
+        # the largest rate the spec accepts, by bisection over the doubles'
+        # bit patterns, which order positive doubles as their values
+        def rate(bits):
+            return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+        accepted, rejected = struct.unpack("<2q", struct.pack("<2d", 1.0, math.inf))
+        while rejected - accepted > 1:
+            mid = (accepted + rejected) // 2
+            try:
+                ExponentialSpec(rate(mid), length)
+                accepted = mid
+            except SeriesError:
+                rejected = mid
+        spec = ExponentialSpec(rate(accepted), length)
+        for row in exponential_rows(20, 0, 0, rows, spec):
+            as_series(row)
 
     def test_rejects_short_length(self):
         with pytest.raises(SeriesError):

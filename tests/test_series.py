@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurstlab import ExponentialSpec, estimate_dfa, estimate_rsal, estimate_vtp, exponential_rows
@@ -174,13 +174,18 @@ def _affine_tolerance(x, y, a, results):
     negative=st.booleans(),
     offset=st.one_of(st.just(0.0), st.floats(-1e4, 1e4), st.floats(-1e300, 1e300)),
 )
+@example(n_obs=64, seed=0, mantissa=0.5, exponent=1025, negative=False, offset=0.0)
 def test_affine_map_moves_estimates_within_rounding_or_raises(n_obs, seed, mantissa,
                                                               exponent, negative, offset):
     """a * x + b, with b = offset * |a| * spread(x): inside the gate, no
     estimate moves by more than _affine_tolerance; outside, every estimator
     raises SeriesError and returns no number."""
     x = exponential_rows(seed, 0, 0, 1, ExponentialSpec(1.0, n_obs))[0]
-    a = math.ldexp(-mantissa if negative else mantissa, exponent)
+    signed = -mantissa if negative else mantissa
+    try:
+        a = math.ldexp(signed, exponent)
+    except OverflowError:  # from 2**1024 on; an infinite scale is outside the gate
+        a = math.copysign(math.inf, signed)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         b = offset * abs(a) * float(x.max() - x.min())
         y = a * x + b
