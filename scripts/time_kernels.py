@@ -46,7 +46,8 @@ temporary directory (``TMPDIR``), whose filesystem sets what rewriting a
 file costs.
 
 The ``simulate_cell`` rows time one-cell ``simulate`` calls shaped like the
-benchmark's timed operations (rate 1.5; N = 128 and 256 with 50 iterations,
+benchmark's timed operations (rate 1.5; the lengths and per-call iterations
+of perfbench's ``MC_GRIDS``, today N = 128 and 256 with 50 iterations and
 N = 512 and 1024 with 25), rewriting one directory's outputs, in
 milliseconds per call.
 
@@ -57,6 +58,28 @@ faults those pages afresh. Every row that runs ``run_cell`` (``draw``,
 ``draw_new_seed``, ``simulate_*``) gives ``chunks_per_call``, the number of
 ``exponential_rows`` calls, one per chunk, that one call makes.
 
+The ``mc_sequence`` rows rebuild the process state of the benchmark's
+Monte Carlo workloads, each in a fresh child process of this script
+(``--mc-sequence WORKLOAD`` runs one of them alone). As
+``perfbench/run.py`` does, the child makes the workload's untimed whole-grid
+call, then runs 12 rounds of its one-cell ``hurstlab.cli.main`` calls, with
+``perfbench/calibration.py``'s ``probe`` run after each call for
+``PROBE_SHARE`` of the call's time. The workloads' lengths and per-call
+iterations (``MC_GRIDS``), rates and whole-grid iterations (``FULL``), probe
+share and CLI call are taken from perfbench's own modules, loaded read-only
+from the ``perfbench`` directory beside this script without writing
+bytecode, so the rows follow the benchmark if it changes. For each length
+the rows give the one-cell call's median milliseconds (``ms_per_call``) and
+its minor faults per call, and for each of ``rsal_batch``, ``dfa_batch``,
+``vtp_batch`` and ``exponential_rows``, wrapped at ``hurstlab.montecarlo``
+for the rounds only, its median microseconds (``us_per_call``) and minor
+faults per call. ``probe_ms`` is the calibration kernel's median, a gauge
+of the host's speed during the rounds. Whether glibc gives a call's pages
+back and faults them in on the next call depends on the heap's layout,
+which unrelated small allocations move: the same commit can read 0 or
+hundreds of faults per call with a different environment or working
+directory, so compare the two sides under one launch.
+
 The perfbench tracer does not wrap these kernels, the chunk draw or the
 output writes, so their per-layer rows are timed here.
 """
@@ -64,11 +87,13 @@ output writes, so their per-layer rows are timed here.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import itertools
 import json
 import os
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -79,8 +104,108 @@ from types import SimpleNamespace
 
 LENGTHS = (128, 1024)
 LONG_LENGTH = 32768
-# (N, iterations) of the benchmark's one-cell calls: mc-short and mc-long.
-CELL_SHAPES = ((128, 50), (256, 50), (512, 25), (1024, 25))
+MC_ROUNDS = 12
+MC_SEAMS = ("rsal_batch", "dfa_batch", "vtp_batch", "exponential_rows")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def load_perfbench() -> SimpleNamespace:
+    """perfbench's ``run``, ``workloads`` and ``calibration`` modules, imported
+    from ``PERFBENCH`` without writing bytecode there."""
+    saved = sys.dont_write_bytecode, list(sys.path)
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        import calibration
+        import workloads
+    finally:
+        sys.dont_write_bytecode, sys.path[:] = saved
+    return SimpleNamespace(run=run, workloads=workloads, calibration=calibration)
+
+
+def mc_sequence(workload: str, seed: int, perfbench: SimpleNamespace) -> dict:
+    """The ``mc_sequence.WORKLOAD`` rows, measured in this process: see the
+    module docstring."""
+    import numpy as np
+
+    from hurstlab import cli, montecarlo
+
+    sizes, iterations = perfbench.run.MC_GRIDS[workload]
+    scale = perfbench.workloads.FULL
+    cells = [(lam, n) for lam in scale.lambdas for n in sizes]
+    prefix = f"mc_sequence.{workload}"
+    metrics = {}
+    modules = {"hurstlab.cli": cli}
+
+    def simulate(argv: list[str]) -> float:
+        code, elapsed, _ = perfbench.workloads.call_cli(modules, ["simulate", *argv])
+        if code != 0:
+            sys.exit(f"simulate exited {code}")
+        return elapsed
+
+    # (seconds, faults) rows, filled in place: lists that grow would call
+    # malloc where the benchmark's process does not, and move the heap
+    # state being measured.
+    per_size = len(scale.lambdas) * MC_ROUNDS
+    tables = {n: np.zeros((per_size, 2)) for n in sizes}
+    tables.update({(name, n): np.zeros((per_size * -(-iterations // montecarlo.chunk_rows(n)), 2))
+                   for name in MC_SEAMS for n in sizes})
+    filled = dict.fromkeys(tables, 0)
+    probes = np.zeros(per_size * len(sizes) + 1)
+
+    def record(key, seconds: float, faults: int) -> None:
+        tables[key][filled[key]] = seconds, faults
+        filled[key] += 1
+
+    def wrap(name: str, func):
+        def timed(*args, **kwargs):
+            n = args[4].length if name == "exponential_rows" else args[0].shape[-1]
+            faults, start = minflt(), time.perf_counter()
+            result = func(*args, **kwargs)
+            record((name, n), time.perf_counter() - start, minflt() - faults)
+            return result
+        return timed
+
+    with tempfile.TemporaryDirectory(prefix="time_kernels-mc-") as work:
+        metrics[f"{prefix}.grid_call_s"] = simulate([
+            "--lambdas", *map(str, scale.lambdas), "--sizes", *map(str, sizes),
+            "--iteration-counts", str(scale.grid_iterations), "--seed", str(seed),
+            "--out", str(Path(work, "grid.json"))])
+        probes[0] = perfbench.calibration.probe()[0]
+        originals = {name: getattr(montecarlo, name) for name in MC_SEAMS}
+        for name, func in originals.items():
+            setattr(montecarlo, name, wrap(name, func))
+        try:
+            for r in range(MC_ROUNDS):
+                for i, (lam, n) in enumerate(cells):
+                    faults = minflt()
+                    elapsed = simulate([
+                        "--lambdas", str(lam), "--sizes", str(n), "--iteration-counts",
+                        str(iterations), "--seed", str(seed * len(cells) + i),
+                        "--out", str(Path(work, f"cell{i}.json"))])
+                    record(n, elapsed, minflt() - faults)
+                    probes[1 + r * len(cells) + i] = perfbench.calibration.probe(
+                        perfbench.workloads.PROBE_SHARE * elapsed)[0]
+        finally:
+            for name, func in originals.items():
+                setattr(montecarlo, name, func)
+    metrics[f"{prefix}.probe_ms"] = float(np.median(probes)) * 1e3
+    for n in sizes:
+        shape = f"{prefix}.N{n}x{iterations}"
+        rows = [(n, shape, "ms", 1e3)]
+        rows += [((name, n), f"{shape}.{name}", "us", 1e6) for name in MC_SEAMS]
+        for key, row, unit, factor in rows:
+            times, faults = tables[key][:filled[key]].T
+            metrics[f"{row}.{unit}_per_call"] = float(np.median(times)) * factor
+            metrics[f"{row}.minflt_per_call"] = float(faults.mean())
+    return metrics
 
 
 def main() -> int:
@@ -90,6 +215,10 @@ def main() -> int:
     parser.add_argument("--calls", type=int, default=200)
     parser.add_argument("--chunk-elements", type=int,
                         help="set montecarlo.CHUNK_ELEMENTS in this process")
+    perfbench = load_perfbench()
+    parser.add_argument("--mc-sequence", choices=perfbench.run.MC_GRIDS,
+                        help="print only this workload's mc_sequence rows, "
+                             "measured in this process")
     args = parser.parse_args()
     if args.chunk_elements is not None and args.chunk_elements < 1:
         parser.error("--chunk-elements must be >= 1")
@@ -109,7 +238,19 @@ def main() -> int:
 
     if args.chunk_elements is not None:
         montecarlo.CHUNK_ELEMENTS = args.chunk_elements
+    if args.mc_sequence:
+        print(json.dumps(mc_sequence(args.mc_sequence, args.seed, perfbench)))
+        return 0
     metrics = {}
+    for workload in perfbench.run.MC_GRIDS:
+        child = [sys.executable, __file__, "--root", str(args.root), "--seed",
+                 str(args.seed), "--mc-sequence", workload]
+        if args.chunk_elements is not None:
+            child += ["--chunk-elements", str(args.chunk_elements)]
+        run = subprocess.run(child, capture_output=True, text=True)
+        if run.returncode:
+            sys.exit(f"--mc-sequence {workload} exited {run.returncode}: {run.stderr}")
+        metrics.update(json.loads(run.stdout.splitlines()[-1]))
     chunks = 0
     draw_rows = montecarlo.exponential_rows
 
@@ -127,12 +268,12 @@ def main() -> int:
         call()
         times = []
         chunks = 0
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        faults = minflt()
         for _ in range(args.calls):
             start = time.perf_counter()
             call()
             times.append(time.perf_counter() - start)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        faults = minflt() - faults
         metrics[f"{name}.minflt_per_call"] = faults / args.calls
         if chunks:
             metrics[f"{name}.chunks_per_call"] = chunks / args.calls
@@ -213,7 +354,9 @@ def main() -> int:
         unused = iter(fresh)
         ms_per_call("simulate_rewrite", lambda: simulate(Path(work)))
         ms_per_call("simulate_fresh", lambda: simulate(next(unused)))
-        for n_obs, iterations in CELL_SHAPES:
+        # (N, iterations) of the benchmark's one-cell calls
+        for n_obs, iterations in ((n, its) for sizes, its in perfbench.run.MC_GRIDS.values()
+                                  for n in sizes):
             ms_per_call(f"simulate_cell.N{n_obs}x{iterations}",
                         lambda: simulate(Path(work), n_obs, iterations))
     print(json.dumps({"numpy": np.__version__, "seed": args.seed, "rows": rows,

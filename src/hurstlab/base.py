@@ -86,10 +86,29 @@ class WindowPolicy:
 
     The window set is every integral divisor n of N with
     ``min_window <= n <= max``, where max is N/2 (``half-N``, the default)
-    or N itself (``full-N``). The default starts at n = 2: the small-sample
-    R/S correction is exact down to the shortest windows, and the n = 2
-    point anchors the regression enough to matter for the estimator's MSE
-    on short series. DFA applies its own higher floor.
+    or N itself (``full-N``). DFA applies its own higher floor.
+
+    The default starts at n = 2, whose R/S does not depend on the data: a
+    pair differing by d has deviations -d/2 and d/2 and a profile ranging
+    over |d|/2, so its R/S is 1/sqrt(2) with the sample SD and 1 with the
+    population SD. R/Sal's n = 2 point is thus the constant
+    1/sqrt(2) - 0.75 + sqrt(pi), about 1.72956, unless every pair of the
+    row is tied and the row fails. On i.i.d. data the anchor cuts R/Sal's
+    MSE (1000 rows, seed 42, cell 5, rate 1.5; DFA's for scale):
+
+    ====  ==========  ===========  =======
+    N     with n = 2  from n = 4   DFA
+    ====  ==========  ===========  =======
+    128   0.00134     0.00235      0.0165
+    256   0.00097     0.00159      0.0094
+    512   0.00069     0.00107      0.0056
+    1024  0.00048     0.00072      0.0036
+    ====  ==========  ===========  =======
+
+    and the mean estimate was 0.4985-0.5002 with it, 0.4930-0.4958 from
+    n = 4. It pulls estimates toward 0.5 on dependent data: on fractional
+    Gaussian noise at N = 1024, R/Sal reads 0.729 with it and 0.753 without
+    at H = 0.9, 0.377 against 0.361 at H = 0.3.
     """
 
     min_window: int = 2

@@ -73,7 +73,6 @@ def _rescaled_ranges_along_axis(seg: np.ndarray, ddof: int) -> tuple[np.ndarray,
     """:func:`_rescaled_ranges` by reductions along the last axis."""
     n = seg.shape[-1]
     centred = seg - seg.sum(axis=-1, keepdims=True) / n
-    sd = np.sqrt((centred * centred).sum(axis=-1) / (n - ddof))
     # Where the subseries outnumber the window's points, Fortran-ordered
     # profiles give max and min one long inner loop per position instead of
     # a short one per subseries. Both are exact, so no bit moves; the R/S
@@ -82,6 +81,9 @@ def _rescaled_ranges_along_axis(seg: np.ndarray, ddof: int) -> tuple[np.ndarray,
     profiles = np.empty(centred.shape, order="F" if centred.size >= n * n else "C")
     np.cumsum(centred, axis=-1, out=profiles)
     ranges = profiles.max(axis=-1) - profiles.min(axis=-1)
+    # the profiles are taken, so the squares can overwrite the deviations
+    centred *= centred
+    sd = np.sqrt(centred.sum(axis=-1) / (n - ddof))
     ok = sd > 0.0
     return np.divide(ranges, sd, out=np.zeros_like(sd), where=ok), ok
 

@@ -187,4 +187,11 @@ def exponential_rows(master_seed: int, cell_id: int, start: int, stop: int,
     for row, words in zip(u, _stream_states(master_seed, cell_id, iterations)):
         _generator(words).random(out=row)
     u[u == 0.0] = np.nextafter(0.0, 1.0)
-    return -np.log(u) / spec.lam
+    # Finished in u's own memory: three throwaway (rows, L) arrays per chunk
+    # moved the heap layout that decides whether glibc gives pages back
+    # after a call and faults them in again on the next. Negation is exact
+    # and IEEE division is sign-symmetric, so ln(u) / -lambda has the bits
+    # of -ln(u) / lambda.
+    np.log(u, out=u)
+    u /= -spec.lam
+    return u

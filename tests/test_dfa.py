@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hurstlab.base import WARN_NONSTATIONARY
+from hurstlab.base import WARN_NONSTATIONARY, LogLogFits
 from hurstlab.dfa import dfa_batch, dfa_fluctuations, estimate_dfa
 from hurstlab.errors import (
     InsufficientWindows,
@@ -110,6 +110,17 @@ class TestEstimateDfa:
     def test_no_warning_in_normal_range(self, exp_series):
         result = estimate_dfa(exp_series(256, seed=19))
         assert result.warnings == ()
+
+    def test_warning_starts_above_slope_one(self):
+        # rows at the slopes either side of 1 and at 1: only the last row,
+        # strictly above 1, is flagged
+        slopes = np.array([0.99, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)])
+        rows = slopes.size
+        fits = LogLogFits(method="DFA", scales=np.array([4, 8, 16]),
+                          statistics=np.ones((rows, 3)), slope=slopes,
+                          intercept=np.zeros(rows), residual_rms=np.zeros(rows), hurst=slopes)
+        flagged = [WARN_NONSTATIONARY in fits.result(row).warnings for row in range(rows)]
+        assert flagged == [False, False, False, True]
 
     def test_homogeneity(self, exp_series):
         series = exp_series(256, seed=20)

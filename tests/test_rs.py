@@ -66,6 +66,45 @@ class TestRsStatistic:
         assert _rs([2.0, 2.0, 1.0, 3.0], [2])[0] == pytest.approx(1.0, abs=1e-12)
 
 
+class TestTwoPointWindow:
+    """The R/S of a 2-point window does not depend on the data: a pair with
+    difference d has deviations -d/2 and d/2, a profile ranging over |d|/2
+    and an SD of |d|/sqrt(2) (sample) or |d|/2 (population), so its R/S is
+    1/sqrt(2) or 1."""
+
+    U = 2.0**-53  # unit roundoff of float64
+
+    @pytest.mark.parametrize("exponent", [-300, 0, 300])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_constant_statistic(self, seed, exponent):
+        # Integers below 2**20 in magnitude, times a power of 2: the pair's
+        # sum, mean and deviations, the profile's end (0), the range and the
+        # sum of squares d**2 / 2 are then exact. With the population SD,
+        # sqrt(d**2 / 4) = |d| / 2 is exact too, so every pair's R/S is 1
+        # and so is their mean.
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2**20 + 1, 2**20, size=(4, 128)) * 2.0**exponent
+        x[:, 1::2] += np.where(x[:, 1::2] == x[:, ::2], 2.0**exponent, 0.0)
+        x[0, :2] = 2.0**exponent  # one tied pair, left out of its row's mean
+        assert np.all(rs_statistics(x, [2], "population") == 1.0)
+        # With the sample SD, sqrt(d**2 / 2) and the quotient each round
+        # once, so a pair is within 2u / (1 - u) of 1/sqrt(2). The mean's
+        # sum of k = 64 such values adds at most (k - 1)u / (1 - (k - 1)u)
+        # relative, its division by k one more u, and the reference
+        # math.sqrt(0.5) is itself within u of 1/sqrt(2).
+        u, k = self.U, x.shape[1] // 2
+        rel = (1 + 2 * u / (1 - u)) * (1 + (k - 1) * u / (1 - (k - 1) * u)) * (1 + u) - 1
+        anchor = math.sqrt(0.5)
+        got = rs_statistics(x, [2], "sample")
+        assert np.all(np.abs(got - anchor) <= anchor * (rel + u) / (1 - u))
+
+    def test_row_of_tied_pairs_fails(self, exp_series):
+        tied = np.repeat(exp_series(64, seed=3), 2)
+        with pytest.raises(AllSubseriesDegenerate,
+                           match=r"^every subseries has zero SD at n=\[2\]$"):
+            estimate_rsal(tied)
+
+
 class TestExpectedRs:
     def test_n2_hand_value(self):
         assert expected_rs(2) == pytest.approx(0.75, abs=1e-12)

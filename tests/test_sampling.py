@@ -1,6 +1,7 @@
 import math
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,3 +235,28 @@ class TestExponentialSample:
         sample = one_row(12, 0, 0, 10**4, lam)
         result = stats.kstest(sample, "expon", args=(0, 1.0 / lam))
         assert result.pvalue > 0.001
+
+
+class TestDrawMemory:
+    """The draw finishes in the memory of its uniforms."""
+
+    def test_peak_is_about_the_output(self):
+        spec = ExponentialSpec(1.5, 1024)
+        exponential_rows(6, 0, 0, 25, spec)  # first use imports numpy.random
+        tracemalloc.start()
+        try:
+            rows = exponential_rows(7, 0, 0, 25, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, its zero mask (1 byte a value) and the streams' states;
+        # a temporary of the output's size would add 1x
+        assert peak <= 1.25 * rows.nbytes
+
+    def test_calls_return_separate_writeable_arrays(self):
+        spec = ExponentialSpec(1.5, 64)
+        a = exponential_rows(1, 0, 0, 4, spec)
+        b = exponential_rows(1, 0, 0, 4, spec)
+        assert a.flags.writeable and b.flags.writeable
+        assert not np.shares_memory(a, b)
+        np.testing.assert_array_equal(a, b)
