@@ -73,7 +73,10 @@ the rows give the one-cell call's median milliseconds (``ms_per_call``) and
 its minor faults per call, and for each of ``rsal_batch``, ``dfa_batch``,
 ``vtp_batch`` and ``exponential_rows``, wrapped at ``hurstlab.montecarlo``
 for the rounds only, its median microseconds (``us_per_call``) and minor
-faults per call. ``probe_ms`` is the calibration kernel's median, a gauge
+faults per call. ``other_us_per_call`` is the median, over the one-cell
+calls, of each call's time less the time it spent in those four seams: the
+fixed cost around the estimators (argument parsing, aggregation, report
+text and writes). ``probe_ms`` is the calibration kernel's median, a gauge
 of the host's speed during the rounds. Whether glibc gives a call's pages
 back and faults them in on the next call depends on the heap's layout,
 which unrelated small allocations move: the same commit can read 0 or
@@ -157,6 +160,7 @@ def mc_sequence(workload: str, seed: int, perfbench: SimpleNamespace) -> dict:
     tables = {n: np.zeros((per_size, 2)) for n in sizes}
     tables.update({(name, n): np.zeros((per_size * -(-iterations // montecarlo.chunk_rows(n)), 2))
                    for name in MC_SEAMS for n in sizes})
+    tables.update({("other", n): np.zeros((per_size, 2)) for n in sizes})
     filled = dict.fromkeys(tables, 0)
     probes = np.zeros(per_size * len(sizes) + 1)
 
@@ -164,12 +168,17 @@ def mc_sequence(workload: str, seed: int, perfbench: SimpleNamespace) -> dict:
         tables[key][filled[key]] = seconds, faults
         filled[key] += 1
 
+    seam_seconds = 0.0  # in the four seams, since the one-cell call began
+
     def wrap(name: str, func):
         def timed(*args, **kwargs):
+            nonlocal seam_seconds
             n = args[4].length if name == "exponential_rows" else args[0].shape[-1]
             faults, start = minflt(), time.perf_counter()
             result = func(*args, **kwargs)
-            record((name, n), time.perf_counter() - start, minflt() - faults)
+            elapsed = time.perf_counter() - start
+            seam_seconds += elapsed
+            record((name, n), elapsed, minflt() - faults)
             return result
         return timed
 
@@ -185,12 +194,13 @@ def mc_sequence(workload: str, seed: int, perfbench: SimpleNamespace) -> dict:
         try:
             for r in range(MC_ROUNDS):
                 for i, (lam, n) in enumerate(cells):
-                    faults = minflt()
+                    faults, seam_seconds = minflt(), 0.0
                     elapsed = simulate([
                         "--lambdas", str(lam), "--sizes", str(n), "--iteration-counts",
                         str(iterations), "--seed", str(seed * len(cells) + i),
                         "--out", str(Path(work, f"cell{i}.json"))])
                     record(n, elapsed, minflt() - faults)
+                    record(("other", n), elapsed - seam_seconds, 0)
                     probes[1 + r * len(cells) + i] = perfbench.calibration.probe(
                         perfbench.workloads.PROBE_SHARE * elapsed)[0]
         finally:
@@ -205,6 +215,8 @@ def mc_sequence(workload: str, seed: int, perfbench: SimpleNamespace) -> dict:
             times, faults = tables[key][:filled[key]].T
             metrics[f"{row}.{unit}_per_call"] = float(np.median(times)) * factor
             metrics[f"{row}.minflt_per_call"] = float(faults.mean())
+        other = tables["other", n][:filled["other", n], 0]
+        metrics[f"{shape}.other_us_per_call"] = float(np.median(other)) * 1e6
     return metrics
 
 

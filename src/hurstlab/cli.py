@@ -183,12 +183,17 @@ def _write_output(path: Path, text: str) -> None:
     data = text.encode("utf-8")
     # O_BINARY (Windows only) keeps the bytes as given, without \r added.
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "wb") as file:
+    try:
         # A FIFO or device reports size 0, so it is never truncated.
         old_size = os.fstat(fd).st_size
-        file.write(data)
+        # os.write may write less than it is given: a pipe, say, or a signal
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
         if old_size > len(data):
-            file.truncate()
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _check_distinct_outputs(out: Path, plot_paths: list[Path]) -> None:
@@ -229,8 +234,10 @@ def cmd_simulate(args) -> int:
         raise _InputError(f"iteration count {too_many[0]} is above the limit of "
                           f"{MAX_SIMULATE_ITERATIONS}")
     out = Path(args.out) if args.out else Path(f"hurst_report.{args.format}")
-    _check_distinct_outputs(out, [out.parent / plot_data_name(method, n)
-                                  for n in args.iteration_counts for method in METHODS])
+    # built once: the same Path objects are checked, written and printed
+    plot_paths = {name: out.parent / name for name in
+                  (plot_data_name(method, n) for n in args.iteration_counts for method in METHODS)}
+    _check_distinct_outputs(out, list(plot_paths.values()))
     report = run_grid(
         cells, seed, policy,
         sd_mode=args.sd_mode,
@@ -242,7 +249,7 @@ def cmd_simulate(args) -> int:
         _write_output(out, body)
         written = [out]
         for name, content in plot_data_files(report).items():
-            path = out.parent / name
+            path = plot_paths[name]
             _write_output(path, content)
             written.append(path)
     except OSError as exc:

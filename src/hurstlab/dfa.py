@@ -64,7 +64,7 @@ def dfa_fluctuations(x: np.ndarray, windows) -> np.ndarray:
     out = np.empty((x.shape[0], len(windows)))
     for j, n in enumerate(windows):
         f = _fluctuations(x.reshape(x.shape[0], -1, n))
-        out[:, j] = f.sum(axis=-1) / f.shape[-1]
+        out[:, j] = np.add.reduce(f, axis=-1) / f.shape[-1]
     return out
 
 

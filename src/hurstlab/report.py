@@ -82,44 +82,70 @@ def _first_bad_line(lines: list[str]) -> SeriesParseError:
 # --- simulation reports -----------------------------------------------------
 
 
-def _cell_dict(report: CellReport) -> dict:
-    return {
-        "lambda": report.cell.lam,
-        "length": report.cell.length,
-        "iterations": report.cell.iterations,
-        "methods": {
-            method: {
-                "mean_hurst": stats.mean_hurst,
-                "mse": stats.mse,
-                "failure_count": stats.failure_count,
-            }
-            for method, stats in report.methods.items()
-        },
-    }
+# A report as json.dumps(doc, indent=2) lays it out: the whole document,
+# one cell of its "cells" array and one method of a cell's "methods".
+_REPORT_JSON = """{
+  "metadata": {
+    "master_seed": %s,
+    "generator": %s,
+    "window_policy": {
+      "min_window": %s,
+      "max_window_rule": %s
+    },
+    "sd_mode": %s,
+    "vtp_divisors_only": %s,
+    "artifact_version": %s
+  },
+  "cells": %s
+}
+"""
+_CELL_JSON = """    {
+      "lambda": %s,
+      "length": %s,
+      "iterations": %s,
+      "methods": %s
+    }"""
+_METHOD_JSON = """        %s: {
+          "mean_hurst": %s,
+          "mse": %s,
+          "failure_count": %s
+        }"""
+
+
+def _cell_json(report: CellReport, spelled) -> str:
+    """One cell, as ``json.dumps(indent=2)`` nests it in the report;
+    *spelled* yields json's spelling of the cell's numbers in order."""
+    lam, length, iterations = itertools.islice(spelled, 3)
+    items = ",\n".join([_METHOD_JSON % (json.dumps(method), *itertools.islice(spelled, 3))
+                         for method in report.methods])
+    return _CELL_JSON % (lam, length, iterations,
+                         f"{{\n{items}\n      }}" if report.methods else "{}")
 
 
 def report_to_json(report: SimulationReport) -> str:
     """Serialize a simulation report; deterministic for equal reports.
 
     Wall-clock duration is deliberately left out so identical configurations
-    produce byte-identical files.
+    produce byte-identical files. The bytes are ``json.dumps(doc, indent=2)
+    + "\\n"`` of the report's document. With an indent, json runs its
+    pure-Python encoder, so the layout is filled in from templates instead,
+    and json's C encoder spells every number, NaN included, in one call.
     """
     meta = report.metadata
-    doc = {
-        "metadata": {
-            "master_seed": meta.master_seed,
-            "generator": meta.generator,
-            "window_policy": {
-                "min_window": meta.window_policy.min_window,
-                "max_window_rule": meta.window_policy.max_window_rule,
-            },
-            "sd_mode": meta.sd_mode,
-            "vtp_divisors_only": meta.vtp_divisors_only,
-            "artifact_version": meta.artifact_version,
-        },
-        "cells": [_cell_dict(c) for c in report.cells],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    policy = meta.window_policy
+    numbers = [meta.master_seed, policy.min_window, meta.vtp_divisors_only]
+    for c in report.cells:
+        numbers += c.cell.lam, c.cell.length, c.cell.iterations
+        for stats in c.methods.values():
+            numbers += stats.mean_hurst, stats.mse, stats.failure_count
+    spelled = iter(json.dumps(numbers)[1:-1].split(", "))
+    seed, min_window, divisors_only = itertools.islice(spelled, 3)
+    body = ",\n".join([_cell_json(c, spelled) for c in report.cells])
+    return _REPORT_JSON % (
+        seed, json.dumps(meta.generator), min_window, json.dumps(policy.max_window_rule),
+        json.dumps(meta.sd_mode), divisors_only, json.dumps(meta.artifact_version),
+        f"[\n{body}\n  ]" if report.cells else "[]",
+    )
 
 
 def report_from_json(text: str) -> SimulationReport:

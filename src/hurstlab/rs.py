@@ -72,7 +72,7 @@ def _rescaled_ranges(seg: np.ndarray, ddof: int) -> tuple[np.ndarray, np.ndarray
 def _rescaled_ranges_along_axis(seg: np.ndarray, ddof: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_rescaled_ranges` by reductions along the last axis."""
     n = seg.shape[-1]
-    centred = seg - seg.sum(axis=-1, keepdims=True) / n
+    centred = seg - np.add.reduce(seg, axis=-1, keepdims=True) / n
     # Where the subseries outnumber the window's points, Fortran-ordered
     # profiles give max and min one long inner loop per position instead of
     # a short one per subseries. Both are exact, so no bit moves; the R/S
@@ -80,10 +80,10 @@ def _rescaled_ranges_along_axis(seg: np.ndarray, ddof: int) -> tuple[np.ndarray,
     # rs_statistics adds in an order that depends on its layout.
     profiles = np.empty(centred.shape, order="F" if centred.size >= n * n else "C")
     np.cumsum(centred, axis=-1, out=profiles)
-    ranges = profiles.max(axis=-1) - profiles.min(axis=-1)
+    ranges = np.maximum.reduce(profiles, axis=-1) - np.minimum.reduce(profiles, axis=-1)
     # the profiles are taken, so the squares can overwrite the deviations
     centred *= centred
-    sd = np.sqrt(centred.sum(axis=-1) / (n - ddof))
+    sd = np.sqrt(np.add.reduce(centred, axis=-1) / (n - ddof))
     ok = sd > 0.0
     return np.divide(ranges, sd, out=np.zeros_like(sd), where=ok), ok
 
@@ -103,7 +103,7 @@ def rs_statistics(x: np.ndarray, windows, sd_mode: str) -> np.ndarray:
     for j, n in enumerate(windows):
         rs, ok = _rescaled_ranges(x.reshape(x.shape[0], -1, n), ddof)
         with np.errstate(invalid="ignore"):
-            out[:, j] = rs.sum(axis=-1) / ok.sum(axis=-1)
+            out[:, j] = np.add.reduce(rs, axis=-1) / np.add.reduce(ok, axis=-1)
     return out
 
 

@@ -186,7 +186,8 @@ def exponential_rows(master_seed: int, cell_id: int, start: int, stop: int,
     iterations = np.arange(start, stop, dtype=np.uint64)
     for row, words in zip(u, _stream_states(master_seed, cell_id, iterations)):
         _generator(words).random(out=row)
-    u[u == 0.0] = np.nextafter(0.0, 1.0)
+    # uniforms are never negative, so this bumps exactly the zeros
+    np.maximum(u, np.nextafter(0.0, 1.0), out=u)
     # Finished in u's own memory: three throwaway (rows, L) arrays per chunk
     # moved the heap layout that decides whether glibc gives pages back
     # after a call and faults them in again on the next. Negation is exact

@@ -11,6 +11,7 @@ with a plain reshape. All functions are pure.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -33,7 +34,7 @@ def _check_range(n_obs: int, max_abs: float, spread: float, what: str = "series"
     rejects itself) or >= 2**-458, so that deviations down to rounding
     noise, spread * 2**-53, square to normal doubles (>= 2**-1022).
     """
-    bound = math.sqrt(np.finfo(float).max / (4.0 * n_obs**3))
+    bound = math.sqrt(sys.float_info.max / (4.0 * n_obs**3))
     if not max_abs <= bound:
         raise SeriesError(f"{what}: |x| up to {max_abs:.6g} overflows float64 squares "
                           f"above {bound:.6g} at N = {n_obs}")

@@ -104,7 +104,7 @@ def scale_variances(x: np.ndarray, ws: tuple[int, ...]) -> np.ndarray:
     w, nb, seg_starts, bounds = _gather_plan(x.shape[-1], ws)
     cs = np.zeros((x.shape[0], x.shape[-1] + 1))
     np.cumsum(x, axis=-1, out=cs[:, 1:])
-    mean = x.sum(axis=-1, keepdims=True) / x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
     out = np.empty((x.shape[0], w.size))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         seg = seg_starts[lo:hi] - seg_starts[lo]

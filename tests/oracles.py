@@ -205,6 +205,41 @@ def estimates_json_reference(results, input_path: str, n_observations: int,
     return json.dumps(doc, indent=2) + "\n"
 
 
+def report_json_reference(report) -> str:
+    """A simulation report as json.dumps lays it out with indent=2."""
+    meta = report.metadata
+    doc = {
+        "metadata": {
+            "master_seed": meta.master_seed,
+            "generator": meta.generator,
+            "window_policy": {
+                "min_window": meta.window_policy.min_window,
+                "max_window_rule": meta.window_policy.max_window_rule,
+            },
+            "sd_mode": meta.sd_mode,
+            "vtp_divisors_only": meta.vtp_divisors_only,
+            "artifact_version": meta.artifact_version,
+        },
+        "cells": [
+            {
+                "lambda": c.cell.lam,
+                "length": c.cell.length,
+                "iterations": c.cell.iterations,
+                "methods": {
+                    method: {
+                        "mean_hurst": stats.mean_hurst,
+                        "mse": stats.mse,
+                        "failure_count": stats.failure_count,
+                    }
+                    for method, stats in c.methods.items()
+                },
+            }
+            for c in report.cells
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def estimates_csv_reference(results) -> str:
     """The estimate table, one line per (scale, statistic) pair, at 6
     significant digits."""

@@ -12,6 +12,7 @@ from hurstlab.cli import (
     MAX_EXPECTED_RS_ROWS,
     MAX_SIMULATE_ITERATIONS,
     MAX_SIMULATE_SIZE,
+    _write_output,
     main,
 )
 from hurstlab.montecarlo import METHODS
@@ -402,6 +403,26 @@ def _tree_bytes(directory):
 
 
 class TestSimulateOutputFiles:
+    @pytest.mark.parametrize("old", [b"", b"x" * 5000], ids=["new", "longer"])
+    def test_short_writes_are_finished(self, tmp_path, monkeypatch, old):
+        path = tmp_path / "out.json"
+        if old:
+            path.write_bytes(old)
+        text = "".join(f"line {i}: \u00e9\n" for i in range(300))
+        real_write = os.write
+        calls = []
+
+        def write_at_most_7(fd, data):
+            calls.append(len(data))
+            return real_write(fd, bytes(data[:7]))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", write_at_most_7)
+            _write_output(path, text)
+        data = text.encode("utf-8")
+        assert path.read_bytes() == data
+        assert len(calls) == -(-len(data) // 7)
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("junk", [b"x" * 100_000, b"short\n", b""],
                              ids=["longer", "shorter", "empty"])

@@ -33,6 +33,14 @@ class TestMse:
         with pytest.raises(EmptyEstimates):
             mse([], 0.5)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", [1, 2, 7, 8, 9, 129, 4097, (30, 40)])
+    def test_bits_of_mean_squared_deviation(self, seed, shape):
+        a = np.random.default_rng(seed).normal(0.5, 0.1, shape)
+        before = a.copy()
+        assert mse(a) == float(((a - 0.5) ** 2).mean())
+        np.testing.assert_array_equal(a, before)
+
 
 class TestMakeGrid:
     def test_full_default_grid(self):

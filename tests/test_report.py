@@ -1,5 +1,6 @@
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurstlab.base import EstimatorResult
+from hurstlab import montecarlo
+from hurstlab.base import EstimatorResult, WindowPolicy
 from hurstlab.dfa import estimate_dfa
 from hurstlab.errors import SeriesParseError
 from hurstlab.montecarlo import make_grid, run_grid
@@ -29,6 +31,7 @@ from oracles import (
     estimates_json_reference,
     first_difference,
     read_series_reference,
+    report_json_reference,
 )
 
 
@@ -144,6 +147,39 @@ class TestJsonRoundTrip:
         assert set(cell) == {"lambda", "length", "iterations", "methods"}
         assert set(cell["methods"]) == {"RSAL", "DFA", "VTP"}
         assert set(cell["methods"]["RSAL"]) == {"mean_hurst", "mse", "failure_count"}
+
+
+def _grid_with_dfa_failures(monkeypatch):
+    real = montecarlo.dfa_batch
+
+    def every_other_row_fails(x, policy):
+        fits = real(x, policy)
+        return replace(fits, hurst=np.where(np.arange(x.shape[0]) % 2, np.nan, fits.hurst))
+
+    monkeypatch.setattr(montecarlo, "dfa_batch", every_other_row_fails)
+    report = run_grid(make_grid([0.5, 1.5], [32, 64], [3, 5]), 42)
+    assert {c.methods["DFA"].failure_count for c in report.cells} == {1, 2}
+    return report
+
+
+_REPORTS = {
+    "failures": _grid_with_dfa_failures,
+    "options": lambda _: run_grid(make_grid([1.5], [32, 48], [4]), 7,
+                                  WindowPolicy(min_window=4), sd_mode="population",
+                                  vtp_divisors_only=True),
+    "top_seed": lambda _: run_grid(make_grid([1.5], [32], [3]), 2**64 - 1),
+    "rate_spellings": lambda _: run_grid(make_grid([1e-5, 0.1, 3.0, 1e100], [32], [2]), 3),
+}
+
+
+@pytest.mark.parametrize("kind", _REPORTS)
+def test_report_json_matches_json_dumps(kind, monkeypatch):
+    """The templated report is json.dumps(doc, indent=2) byte for byte, and
+    reads back as the same report."""
+    report = _REPORTS[kind](monkeypatch)
+    text = report_to_json(report)
+    assert first_difference(text, report_json_reference(report)) is None
+    assert report_from_json(text) == report
 
 
 class TestCsv:
