@@ -30,8 +30,9 @@ as each operation of the benchmark's Monte Carlo workloads does.
 The ``N32768`` rows use one exponential series of 32768 values, the
 length of a long single-series estimate. ``rsal_batch`` and ``dfa_batch``
 are timed on it as a one-row batch, in microseconds per call.
-``vtp_cold.N32768`` times ``estimate_vtp`` on it with VTP's gather-plan
-cache emptied before each call, in milliseconds per call, and gives the
+``vtp_cold.N32768`` times ``estimate_vtp`` on it with every hurstlab
+functools cache emptied before each call (VTP's plans among them), in
+milliseconds per call, and gives the
 ``tracemalloc`` peak of one more such call, made untimed, in MiB.
 ``estimates_to_json.N32768`` times the JSON document of its R/Sal, DFA and
 VTP estimates (8192 VTP points among them), in milliseconds per call.
@@ -45,11 +46,19 @@ all made before the timing. The directories are made under the system
 temporary directory (``TMPDIR``), whose filesystem sets what rewriting a
 file costs.
 
+``vtp_warm.N2048`` times ``scale_variances`` on one row of 2048 values at
+the default block sizes, whose plan is cached after the warm-up call, in
+microseconds per call.
+
 The ``simulate_cell`` rows time one-cell ``simulate`` calls shaped like the
 benchmark's timed operations (rate 1.5; the lengths and per-call iterations
 of perfbench's ``MC_GRIDS``, today N = 128 and 256 with 50 iterations and
 N = 512 and 1024 with 25), rewriting one directory's outputs, in
-milliseconds per call.
+milliseconds per call. The ``simulate_cell_cold`` rows time the same calls
+with every hurstlab functools cache emptied before each call by
+``perfbench/tracing.py``'s ``clear_caches``, as the benchmark's
+estimate-files workload does, so each call builds its per-length plans
+afresh.
 
 Every timed row also gives ``minflt_per_call``: the growth of
 ``resource.getrusage(RUSAGE_SELF).ru_minflt`` over its timed calls, per
@@ -107,6 +116,7 @@ from types import SimpleNamespace
 
 LENGTHS = (128, 1024)
 LONG_LENGTH = 32768
+WARM_VTP_LENGTH = 2048
 MC_ROUNDS = 12
 MC_SEAMS = ("rsal_batch", "dfa_batch", "vtp_batch", "exponential_rows")
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -117,8 +127,8 @@ def minflt() -> int:
 
 
 def load_perfbench() -> SimpleNamespace:
-    """perfbench's ``run``, ``workloads`` and ``calibration`` modules, imported
-    from ``PERFBENCH`` without writing bytecode there."""
+    """perfbench's ``run``, ``workloads``, ``calibration`` and ``tracing``
+    modules, imported from ``PERFBENCH`` without writing bytecode there."""
     saved = sys.dont_write_bytecode, list(sys.path)
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(PERFBENCH))
@@ -127,10 +137,12 @@ def load_perfbench() -> SimpleNamespace:
         run = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(run)
         import calibration
+        import tracing
         import workloads
     finally:
         sys.dont_write_bytecode, sys.path[:] = saved
-    return SimpleNamespace(run=run, workloads=workloads, calibration=calibration)
+    return SimpleNamespace(run=run, workloads=workloads, calibration=calibration,
+                           tracing=tracing)
 
 
 def mc_sequence(workload: str, seed: int, perfbench: SimpleNamespace) -> dict:
@@ -334,7 +346,7 @@ def main() -> int:
         us_per_series(f"{kernel.__name__}.N{LONG_LENGTH}", lambda: kernel(series[None, :]), 1)
 
     def cold_vtp() -> None:
-        vtp._gather_plan.cache_clear()
+        perfbench.tracing.clear_caches()
         estimate_vtp(series)
 
     cold = f"vtp_cold.N{LONG_LENGTH}"
@@ -343,6 +355,10 @@ def main() -> int:
     cold_vtp()
     metrics[f"{cold}.peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
+
+    warm = rng.exponential(size=(1, WARM_VTP_LENGTH))
+    ws = vtp._default_ws(WARM_VTP_LENGTH, False)
+    us_per_series(f"vtp_warm.N{WARM_VTP_LENGTH}", lambda: vtp.scale_variances(warm, ws), 1)
 
     results = [estimate_rsal(series), estimate_dfa(series), estimate_vtp(series)]
     options = {"method": "all", "min_window": 2, "max_window_rule": "half-N",
@@ -371,6 +387,12 @@ def main() -> int:
                                   for n in sizes):
             ms_per_call(f"simulate_cell.N{n_obs}x{iterations}",
                         lambda: simulate(Path(work), n_obs, iterations))
+
+            def cold_call() -> None:
+                perfbench.tracing.clear_caches()
+                simulate(Path(work), n_obs, iterations)
+
+            ms_per_call(f"simulate_cell_cold.N{n_obs}x{iterations}", cold_call)
     print(json.dumps({"numpy": np.__version__, "seed": args.seed, "rows": rows,
                       "chunk_elements": montecarlo.CHUNK_ELEMENTS, "calls": args.calls,
                       "metrics": metrics}))

@@ -5,7 +5,10 @@ regress log(statistic) on log(scale); what differs is the statistic and how
 the Hurst exponent is read off the slope. The types here carry that shared
 structure. The estimators work on a (rows, N) matrix of equal-length series
 at once; :class:`LogLogFits` holds the per-row outcome, and a single-series
-estimate is its one-row case.
+estimate is its one-row case. What a method's fits share at one series
+length and set of options, its scales and their log abscissae, is a
+:class:`FitPlan`, which each method builds once per (length, options) in a
+module-level cache of its own.
 """
 
 from __future__ import annotations
@@ -16,16 +19,18 @@ import numpy as np
 
 from .errors import (AllSubseriesDegenerate, InsufficientWindows, InvalidWindow,
                      NonPositiveStatistic, SeriesError, ZeroFluctuation, ZeroVariance)
-from .regression import RegressionFit, fit_rows
+from .regression import RegressionFit, abscissae, line_fit
 
 __all__ = [
     "EstimatorResult",
+    "FitPlan",
     "LogLogFits",
     "WindowPolicy",
     "DEFAULT_POLICY",
     "FAILURES",
     "WARN_NONSTATIONARY",
     "divisors",
+    "fit_plan",
     "loglog_fits",
 ]
 
@@ -184,16 +189,40 @@ class LogLogFits:
                                scales=self.scales, statistics=stats, warnings=warnings)
 
 
-def loglog_fits(method: str, scales, statistics: np.ndarray) -> LogLogFits:
-    """Row-wise OLS of log(statistic) against log(scale); ``hurst`` = slope.
+@dataclass(frozen=True)
+class FitPlan:
+    """The scales of a method's log-log fits and the :func:`abscissae`
+    triple of their logs: the window or block sizes as Python ints
+    (``windows``) and as a read-only int64 array (``scales``)."""
 
-    *statistics* is (rows, len(scales)) and is made read-only. Non-positive
-    or NaN statistics have no log, and an infinite one has no finite log,
-    so their rows come out NaN.
+    windows: tuple[int, ...]
+    scales: np.ndarray
+    abscissae: tuple[float, np.ndarray, float]
+
+
+def fit_plan(windows) -> FitPlan:
+    """The :class:`FitPlan` of these scales, at least 2 distinct positive
+    ints; each method caches its own per series length and options."""
+    scales = np.array(windows, dtype=np.int64)
+    scales.flags.writeable = False
+    return FitPlan(tuple(windows), scales, abscissae(np.log(scales.astype(float))))
+
+
+def loglog_fits(method: str, plan: FitPlan, statistics: np.ndarray) -> LogLogFits:
+    """Row-wise OLS of log(statistic) against log(scale) at the plan's scales.
+
+    *statistics* is (rows, len(plan.scales)) and is made read-only. ``hurst``
+    is the slope, except for VTP, whose slope is -beta: there it is
+    1 - beta/2. Non-positive or NaN statistics have no log, and an infinite
+    one has no finite log, so their rows come out NaN.
     """
-    scales = np.array(scales, dtype=np.int64)
-    scales.flags.writeable = statistics.flags.writeable = False
+    statistics.flags.writeable = False
     logs = np.log(np.where(statistics > 0.0, statistics, np.nan))
-    slope, intercept, residual_rms = fit_rows(np.log(scales.astype(float)), logs)
-    return LogLogFits(method=method, scales=scales, statistics=statistics, slope=slope,
-                      intercept=intercept, residual_rms=residual_rms, hurst=slope)
+    slope, intercept, residual_rms = line_fit(plan.abscissae, logs)
+    if method == "VTP":
+        beta = -slope
+        hurst = 1.0 - beta / 2.0
+    else:
+        hurst = slope
+    return LogLogFits(method=method, scales=plan.scales, statistics=statistics, slope=slope,
+                      intercept=intercept, residual_rms=residual_rms, hurst=hurst)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .base import MAX_WINDOW_RULES, WindowPolicy
-from .dfa import DFA_MIN_WINDOW
+from .dfa import dfa_plan
 from .errors import (
     HurstLabError,
     InsufficientWindows,
@@ -228,7 +228,7 @@ def cmd_simulate(args) -> int:
         if size > MAX_SIMULATE_SIZE:
             raise _InputError(f"size {size} is above the limit of {MAX_SIMULATE_SIZE}")
         # DFA's window set is the smallest: R/Sal and VTP have 2 scales where it has 2
-        policy.windows(size, min_window=DFA_MIN_WINDOW)
+        dfa_plan(size, policy)
     too_many = [n for n in args.iteration_counts if n > MAX_SIMULATE_ITERATIONS]
     if too_many:
         raise _InputError(f"iteration count {too_many[0]} is above the limit of "

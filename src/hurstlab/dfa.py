@@ -11,26 +11,34 @@ so they yield a warning rather than an error.
 
 The fluctuations are computed for a (rows, N) batch of series at once;
 :func:`dfa_batch` is what the simulation grid runs, and
-:func:`estimate_dfa` is its one-row case.
+:func:`estimate_dfa` is its one-row case. The windows and their log-log
+abscissae are built once per series length and window policy
+(:func:`dfa_plan`), and the abscissae of t = 1..n once per window length
+up to :data:`CACHED_WINDOW_MAX`.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 from .base import (
     DEFAULT_POLICY,
     EstimatorResult,
+    FitPlan,
     LogLogFits,
     WindowPolicy,
+    fit_plan,
     loglog_fits,
 )
-from .regression import COLUMN_PATH_MAX, fit_columns, fit_rows
+from .regression import COLUMN_PATH_MAX, abscissae, line_fit, line_fit_columns
 from .series import as_series
 
 __all__ = [
     "dfa_fluctuations",
     "dfa_batch",
+    "dfa_plan",
     "estimate_dfa",
     "DFA_MIN_WINDOW",
 ]
@@ -40,18 +48,42 @@ __all__ = [
 DFA_MIN_WINDOW = 4
 
 
+@lru_cache(maxsize=16)
+def dfa_plan(n_obs: int, policy: WindowPolicy) -> FitPlan:
+    """The FitPlan of the policy's DFA windows (floor DFA_MIN_WINDOW) for
+    length *n_obs*; raises InsufficientWindows when fewer than 2 qualify."""
+    return fit_plan(policy.windows(n_obs, min_window=DFA_MIN_WINDOW))
+
+
+# Windows up to this length keep their profile abscissae cached. Building
+# them costs a few microseconds whatever the length, next to a fit whose cost
+# grows with the window, and kept for a longer window they would hold O(N)
+# memory through the rest of a cold estimate.
+CACHED_WINDOW_MAX = 1024
+
+
+def _profile_abscissae(n: int) -> tuple[float, np.ndarray, float]:
+    """The abscissae triple of t = 1..n, the profile positions of a window."""
+    return abscissae(np.arange(1.0, n + 1.0))
+
+
+# Per window length, not per series length: the series lengths of a grid
+# share most of their windows.
+_cached_profile_abscissae = lru_cache(maxsize=32)(_profile_abscissae)
+
+
 def _fluctuations(seg: np.ndarray) -> np.ndarray:
     """RMS residual of each subseries' cumulative profile about its OLS line,
     for every subseries along the last axis. Windows of up to
     COLUMN_PATH_MAX values cumulate and fit their profiles column by column."""
     n = seg.shape[-1]
-    t = np.arange(1.0, n + 1.0)
+    t = (_cached_profile_abscissae if n <= CACHED_WINDOW_MAX else _profile_abscissae)(n)
     if n > COLUMN_PATH_MAX:
-        return fit_rows(t, np.cumsum(seg, axis=-1))[2]
+        return line_fit(t, np.cumsum(seg, axis=-1))[2]
     profile = [seg[..., 0]]
     for i in range(1, n):
         profile.append(profile[-1] + seg[..., i])
-    return fit_columns(t, profile)[2]
+    return line_fit_columns(t, profile)[2]
 
 
 def dfa_fluctuations(x: np.ndarray, windows) -> np.ndarray:
@@ -71,8 +103,8 @@ def dfa_fluctuations(x: np.ndarray, windows) -> np.ndarray:
 def dfa_batch(x: np.ndarray, policy: WindowPolicy = DEFAULT_POLICY) -> LogLogFits:
     """DFA fits of every row of *x* (rows, N); a row with a zero or
     overflowing mean fluctuation at some window fails (NaN)."""
-    windows = policy.windows(x.shape[-1], min_window=DFA_MIN_WINDOW)
-    return loglog_fits("DFA", windows, dfa_fluctuations(x, windows))
+    plan = dfa_plan(x.shape[-1], policy)
+    return loglog_fits("DFA", plan, dfa_fluctuations(x, plan.windows))
 
 
 def estimate_dfa(series, policy: WindowPolicy = DEFAULT_POLICY) -> EstimatorResult:

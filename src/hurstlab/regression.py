@@ -32,6 +32,13 @@ stay on the axis path. numpy also starts from its identity +0.0, so a sum of
 -0.0 terms is +0.0; the column sum adds 0.0 last to match. A numpy release
 that changed this order would fail the tests that pin it rather than move an
 estimate's low bits.
+
+A fit needs its abscissae as the triple (x_bar, x - x_bar, Sxx) that
+:func:`abscissae` makes. :func:`fit_rows` and :func:`fit_columns` make it
+from raw abscissae on every call; the kernels take it from a plan built once
+per series length and options (``base.FitPlan``'s log scales, and DFA's
+``t = 1..n`` per window length) and pass it to :func:`line_fit` and
+:func:`line_fit_columns`, which the raw entries call too.
 """
 
 from __future__ import annotations
@@ -71,15 +78,17 @@ def column_sum(cols):
     return total
 
 
-def _abscissae(x) -> tuple[float, np.ndarray, float]:
-    """(x_bar, x - x_bar, Sxx) of the shared abscissae; raises
-    DegenerateDesign when there are fewer than 2 or all coincide."""
+def abscissae(x) -> tuple[float, np.ndarray, float]:
+    """(x_bar, x - x_bar, Sxx) of the shared abscissae *x*, with the centred
+    values read-only; raises DegenerateDesign when there are fewer than 2 or
+    all coincide."""
     x = np.asarray(x, dtype=float)
     m = x.shape[0]
     if m < 2:
         raise DegenerateDesign(f"need >= 2 points, got {m}")
     x_bar = np.add.reduce(x) / m
     xc = x - x_bar
+    xc.flags.writeable = False
     sxx = float(np.add.reduce(xc * xc))
     if sxx == 0.0:
         raise DegenerateDesign("all x values are identical")
@@ -94,11 +103,16 @@ def fit_rows(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     one row's values in numpy's order, so a row's fit is the same to the
     bit whatever other rows share the batch; a NaN in a row makes that
     row's fit NaN. Raises DegenerateDesign when m < 2 or all x coincide.
-    Two arrays of *y*'s shape are made: the centred values, and one work
-    array that holds in turn their products with the abscissae, the fitted
-    line, the residuals and their squares.
     """
-    x_bar, xc, sxx = _abscissae(x)
+    return line_fit(abscissae(x), y)
+
+
+def line_fit(absc, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`fit_rows` given the :func:`abscissae` triple of *x*. Two arrays
+    of *y*'s shape are made: the centred values, and one work array that
+    holds in turn their products with the abscissae, the fitted line, the
+    residuals and their squares."""
+    x_bar, xc, sxx = absc
     m = xc.shape[0]
     y_bar = np.add.reduce(y, axis=-1) / m
     yc = y - y_bar[..., None]
@@ -115,7 +129,12 @@ def fit_columns(x, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`fit_rows` of the m <= 8 columns ``y[..., i]``, given as a list:
     the within-window fit of DFA's short windows, bit for bit the same.
     Raises ValueError when *x* and *cols* differ in length."""
-    x_bar, xc, sxx = _abscissae(x)
+    return line_fit_columns(abscissae(x), cols)
+
+
+def line_fit_columns(absc, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`fit_columns` given the :func:`abscissae` triple of *x*."""
+    x_bar, xc, sxx = absc
     m = len(cols)
     y_bar = column_sum(cols) / m
     yc = [col - y_bar for col in cols]

@@ -16,7 +16,9 @@ the Monte Carlo comparison this package reproduces.
 
 The statistics are computed for a (rows, N) batch of series at once;
 :func:`rsal_batch` is what the simulation grid runs, and the
-single-series estimators are its one-row case.
+single-series estimators are its one-row case. The windows, their log-log
+abscissae and the E(R/S)_n and sqrt(0.5 * pi * n) offsets of each window
+are built once per series length and window policy (:func:`_plan`).
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ import numpy as np
 from .base import (
     DEFAULT_POLICY,
     EstimatorResult,
+    FitPlan,
     LogLogFits,
     WindowPolicy,
+    fit_plan,
     loglog_fits,
 )
 from .errors import InvalidWindow
@@ -133,23 +137,31 @@ def expected_rs(n: int) -> float:
     return (n - 0.5) / n * factor * tail_sum
 
 
-def _adjust(stats: np.ndarray, windows) -> np.ndarray:
-    """(R/S)_n - E(R/S)_n + sqrt(0.5*pi*n), column by column."""
-    expected = np.array([expected_rs(n) for n in windows])
-    asymptote = np.array([math.sqrt(0.5 * math.pi * n) for n in windows])
-    return stats - expected + asymptote
+@lru_cache(maxsize=16)
+def _plan(n_obs: int, policy: WindowPolicy) -> tuple[FitPlan, np.ndarray, np.ndarray]:
+    """The policy's windows for length *n_obs* as a FitPlan, and per window
+    E(R/S)_n and sqrt(0.5 * pi * n), read-only."""
+    plan = fit_plan(policy.windows(n_obs))
+    expected = np.array([expected_rs(n) for n in plan.windows])
+    asymptote = np.array([math.sqrt(0.5 * math.pi * n) for n in plan.windows])
+    expected.flags.writeable = asymptote.flags.writeable = False
+    return plan, expected, asymptote
 
 
 def rsal_batch(x: np.ndarray, policy: WindowPolicy = DEFAULT_POLICY,
                sd_mode: str = "sample") -> LogLogFits:
     """R/Sal fits of every row of *x* (rows, N); failed rows are NaN.
 
+    Each statistic is (R/S)_n - E(R/S)_n + sqrt(0.5*pi*n), in that order.
     A row fails when every subseries of some window has zero SD (NaN
     statistic) or an adjusted value is <= 0, which E(R/S)_n < sqrt(0.5*pi*n)
     rules out for real R/S values throughout the supported range.
     """
-    windows = policy.windows(x.shape[-1])
-    return loglog_fits("RSAL", windows, _adjust(rs_statistics(x, windows, sd_mode), windows))
+    plan, expected, asymptote = _plan(x.shape[-1], policy)
+    stats = rs_statistics(x, plan.windows, sd_mode)
+    stats -= expected
+    stats += asymptote
+    return loglog_fits("RSAL", plan, stats)
 
 
 def estimate_rs(series, policy: WindowPolicy = DEFAULT_POLICY,
@@ -162,8 +174,8 @@ def estimate_rs(series, policy: WindowPolicy = DEFAULT_POLICY,
     recenters independent data on H = 0.5.
     """
     arr = as_series(series)
-    windows = policy.windows(arr.shape[0])
-    return loglog_fits("RS", windows, rs_statistics(arr[None, :], windows, sd_mode)).result()
+    plan = _plan(arr.shape[0], policy)[0]
+    return loglog_fits("RS", plan, rs_statistics(arr[None, :], plan.windows, sd_mode)).result()
 
 
 def estimate_rsal(series, policy: WindowPolicy = DEFAULT_POLICY,

@@ -126,14 +126,15 @@ def _stream_states(master_seed: int, cell_id: int, iterations: np.ndarray) -> np
 def _spawn_state_type() -> type:
     """An ``ISeedSequence`` holding one row of :func:`_stream_states`, a
     spawn-key SeedSequence's ``generate_state(4, uint64)``: PCG64 seeds
-    itself from these words as it would from the SeedSequence. Made on first
-    use, so that importing hurstlab does not import numpy.random (about
-    17 ms), which ``hurstlab estimate`` never uses."""
+    itself from these words as it would from the SeedSequence. PCG64 reads
+    them once, when it is made, so one such object serves a chunk's rows in
+    turn, its ``words`` set to each row's. Made on first use, so that
+    importing hurstlab does not import numpy.random (about 17 ms), which
+    ``hurstlab estimate`` never uses."""
     from numpy.random.bit_generator import ISeedSequence
 
     class SpawnState(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
+        words: np.ndarray
 
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
@@ -141,8 +142,8 @@ def _spawn_state_type() -> type:
     return SpawnState
 
 
-def _generator(words: np.ndarray) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_spawn_state_type()(words)))
+def _generator(state) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(state))
 
 
 @dataclass(frozen=True)
@@ -184,8 +185,10 @@ def exponential_rows(master_seed: int, cell_id: int, start: int, stop: int,
         raise SeriesError(f"stop iteration {stop} is above 2**64")
     u = np.empty((stop - start, spec.length))
     iterations = np.arange(start, stop, dtype=np.uint64)
+    state = _spawn_state_type()()
     for row, words in zip(u, _stream_states(master_seed, cell_id, iterations)):
-        _generator(words).random(out=row)
+        state.words = words
+        _generator(state).random(out=row)
     # uniforms are never negative, so this bumps exactly the zeros
     np.maximum(u, np.nextafter(0.0, 1.0), out=u)
     # Finished in u's own memory: three throwaway (rows, L) arrays per chunk

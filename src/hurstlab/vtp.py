@@ -12,20 +12,23 @@ Block means of a (rows, N) batch of series are differences of the row-wise
 cumulative sums. The default scales have about N ln(N/4) blocks per row;
 they are gathered one group of scales at a time, and a group holds fewer
 than 2 * :data:`GROUP_BLOCKS` blocks per row or the blocks of one scale, so
-the working memory is O(N). Only per-scale arrays are cached per series
-length. :func:`vtp_batch` is what the simulation grid runs, and
-:func:`estimate_vtp` is its one-row case.
+the working memory is O(N). Per series length and scale set, only
+per-scale arrays are cached, and, for a set that is one group, its block
+ends and widths (fewer than 2 * GROUP_BLOCKS of each); a set of more
+groups builds those per group on every call. The default scales'
+log-log abscissae are cached per (length, ``divisors_only``); explicit
+scales build theirs on every call. :func:`vtp_batch` is what the
+simulation grid runs, and :func:`estimate_vtp` is its one-row case.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
-from .base import EstimatorResult, LogLogFits, divisors, loglog_fits
+from .base import EstimatorResult, FitPlan, LogLogFits, divisors, fit_plan, loglog_fits
 from .errors import InsufficientWindows, ScaleTooLarge
 from .series import as_series
 
@@ -36,7 +39,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=16)
 def _default_ws(n_obs: int, divisors_only: bool) -> tuple[int, ...]:
     """Default block sizes: every integer w from 1 to N/4.
 
@@ -66,27 +68,60 @@ def _check_scale(n_obs: int, w) -> int:
     return w
 
 
+def _scale_plan(ws: tuple[int, ...]) -> FitPlan:
+    if len(set(ws)) < 2:
+        raise InsufficientWindows(f"need >= 2 distinct block sizes, got {sorted(set(ws))}")
+    return fit_plan(ws)
+
+
+@lru_cache(maxsize=16)
+def _default_plan(n_obs: int, divisors_only: bool) -> FitPlan:
+    """The FitPlan of the default block sizes (:func:`_default_ws`)."""
+    return _scale_plan(_default_ws(n_obs, divisors_only))
+
+
 # About this many blocks per row are gathered at once (see _gather_plan).
 GROUP_BLOCKS = 16384
 
 
+def _blocks(w: np.ndarray, nb: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """End in the cumsum, and width, of every block of the scales *w* with
+    *nb* blocks each, whose segments start at *seg*: block k of scale w
+    spans [k * w, (k + 1) * w)."""
+    widths = np.repeat(w, nb)
+    ends = np.arange(1, widths.size + 1)
+    ends -= np.repeat(seg, nb)
+    ends *= widths
+    return ends, widths
+
+
 @lru_cache(maxsize=16)
 def _gather_plan(n_obs: int, ws: tuple[int, ...]):
-    """Per-scale block sizes, block counts and segment starts, and the
-    bounds of the scale groups.
+    """Per-scale block sizes and block counts, and the scale groups.
 
     The blocks of each scale form one segment of the sequence of all
-    blocks, starting at ``seg_starts``. A new group starts at a scale whose
-    segment start reaches the next multiple of :data:`GROUP_BLOCKS`, and at
-    a scale with more blocks than that, which is then a group by itself.
-    Group g is the scales ``bounds[g]:bounds[g + 1]``.
+    blocks. A new group starts at a scale whose segment start reaches the
+    next multiple of :data:`GROUP_BLOCKS`, and at a scale with more blocks
+    than that, which is then a group by itself. Each group is (lo, hi, seg,
+    blocks): the scales ``lo:hi``, their segment starts within the group,
+    and, when the set is one group, its :func:`_blocks`, else None. Every
+    array is read-only.
     """
     w = np.array(ws, dtype=np.int64)
     nb = n_obs // w
     seg_starts = np.cumsum(nb) - nb
     first = np.ones(w.size, dtype=bool)
     first[1:] = (np.diff(seg_starts // GROUP_BLOCKS) > 0) | (nb[1:] > GROUP_BLOCKS)
-    return w, nb, seg_starts, [*np.flatnonzero(first).tolist(), w.size]
+    bounds = [*np.flatnonzero(first).tolist(), w.size]
+    groups, arrays = [], [w, nb]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        seg = seg_starts[lo:hi] - seg_starts[lo]
+        blocks = _blocks(w, nb, seg) if len(bounds) == 2 else None
+        groups.append((lo, hi, seg, blocks))
+        arrays += [seg, *(blocks or ())]
+    for a in arrays:
+        a.flags.writeable = False
+    return w, nb, tuple(groups)
 
 
 def scale_variances(x: np.ndarray, ws: tuple[int, ...]) -> np.ndarray:
@@ -101,21 +136,18 @@ def scale_variances(x: np.ndarray, ws: tuple[int, ...]) -> np.ndarray:
     Block k of scale w spans [k * w, (k + 1) * w); its sum is a difference
     of the row-wise cumsum, gathered one group of scales at a time.
     """
-    w, nb, seg_starts, bounds = _gather_plan(x.shape[-1], ws)
+    w, nb, groups = _gather_plan(x.shape[-1], ws)
     cs = np.zeros((x.shape[0], x.shape[-1] + 1))
     np.cumsum(x, axis=-1, out=cs[:, 1:])
     mean = np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
     out = np.empty((x.shape[0], w.size))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        seg = seg_starts[lo:hi] - seg_starts[lo]
-        block_w = np.repeat(w[lo:hi], nb[lo:hi])
-        ends = np.arange(1, block_w.size + 1)
-        ends -= np.repeat(seg, nb[lo:hi])
-        ends *= block_w
+    for lo, hi, seg, blocks in groups:
+        ends, widths = blocks or _blocks(w[lo:hi], nb[lo:hi], seg)
         sq = cs.take(ends, axis=1)
-        ends -= block_w
-        sq -= cs.take(ends, axis=1)
-        sq /= block_w
+        # the block starts, in place when the ends were built for this call
+        starts = np.subtract(ends, widths, out=None if blocks else ends)
+        sq -= cs.take(starts, axis=1)
+        sq /= widths
         sq -= mean
         sq *= sq
         out[:, lo:hi] = np.add.reduceat(sq, seg, axis=-1) / nb[lo:hi]
@@ -128,14 +160,10 @@ def vtp_batch(x: np.ndarray, scales=None, divisors_only: bool = False) -> LogLog
     :func:`estimate_vtp`."""
     n_obs = x.shape[-1]
     if scales is None:
-        ws = _default_ws(n_obs, divisors_only)
+        plan = _default_plan(n_obs, divisors_only)
     else:
-        ws = tuple(_check_scale(n_obs, w) for w in scales)
-    if len(set(ws)) < 2:
-        raise InsufficientWindows(f"need >= 2 distinct block sizes, got {sorted(set(ws))}")
-    fits = loglog_fits("VTP", ws, scale_variances(x, ws))
-    beta = -fits.slope
-    return replace(fits, hurst=1.0 - beta / 2.0)
+        plan = _scale_plan(tuple(_check_scale(n_obs, w) for w in scales))
+    return loglog_fits("VTP", plan, scale_variances(x, plan.windows))
 
 
 def estimate_vtp(series, scales=None, divisors_only: bool = False) -> EstimatorResult:
