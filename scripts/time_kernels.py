@@ -1,6 +1,8 @@
 """Microseconds per series of the draw and of the R/Sal, DFA and VTP kernels,
-milliseconds per cold VTP estimate, per estimate document and per one-cell
-``simulate`` call, and the minor page faults of each timed call.
+milliseconds per cold VTP estimate, per series-file read, per cold
+``estimate`` call, per estimate document and per one-cell ``simulate`` call,
+microseconds per short R/S and DFA window on the column and the axis path,
+and the minor page faults of each timed call.
 
 Usage, from anywhere:
 
@@ -45,6 +47,24 @@ into a directory that already holds that call's report and plot files,
 all made before the timing. The directories are made under the system
 temporary directory (``TMPDIR``), whose filesystem sets what rewriting a
 file costs.
+
+The ``read_series`` and ``estimate_cold`` rows use one file each of 2048,
+8304 and 32752 exponential values (the shortest, median and longest
+lengths of the benchmark's estimate-files workload), written as
+``perfbench/workloads.py`` writes its files: a ``#`` label line, then one
+``repr`` per line. ``read_series.N*`` times ``read_series_file`` on it, and
+``estimate_cold.N*`` one ``hurstlab.cli.main(["estimate", FILE])`` call
+through perfbench's ``call_cli`` (stdout and stderr captured), with every
+hurstlab functools cache emptied before each call, as estimate-files runs
+it, both in milliseconds per call.
+
+The ``path_sweep`` rows time, at each (rows, N) of ``SWEEP_SHAPES`` (the
+Monte Carlo workloads' chunk shapes, then one row at each of those three
+lengths), ``rs_statistics`` and ``dfa_fluctuations`` at each one window
+n <= ``regression.COLUMN_PATH_MAX`` (R/S n = 2, 4, 8, DFA n = 4, 8) on the
+column path (``.column``) and, with that bound set to 0 in the ``rs`` or
+``dfa`` module for the row, on the axis path (``.axis``), in microseconds
+per call. The script stops if the two paths' bits differ.
 
 ``vtp_warm.N2048`` times ``scale_variances`` on one row of 2048 values at
 the default block sizes, whose plan is cached after the warm-up call, in
@@ -116,6 +136,12 @@ from types import SimpleNamespace
 
 LENGTHS = (128, 1024)
 LONG_LENGTH = 32768
+# the estimate-files workload's shortest, median and longest file lengths
+TEXT_LENGTHS = (2048, 8304, 32752)
+# (rows, N) of the R/S and DFA column/axis sweep: the Monte Carlo workloads'
+# chunk shapes, then one row at each of TEXT_LENGTHS
+SWEEP_SHAPES = ((50, 128), (50, 256), (25, 512), (25, 1024),
+                *((1, n) for n in TEXT_LENGTHS))
 WARM_VTP_LENGTH = 2048
 MC_ROUNDS = 12
 MC_SEAMS = ("rsal_batch", "dfa_batch", "vtp_batch", "exponential_rows")
@@ -253,10 +279,10 @@ def main() -> int:
     sys.path.insert(0, str(args.root.resolve() / "src"))
     import numpy as np
 
-    from hurstlab import montecarlo, vtp
+    from hurstlab import cli, dfa, montecarlo, rs, vtp
     from hurstlab.cli import main as cli_main
     from hurstlab.dfa import dfa_batch, estimate_dfa
-    from hurstlab.report import estimates_to_json
+    from hurstlab.report import estimates_to_json, read_series_file
     from hurstlab.rs import estimate_rsal, rsal_batch
     from hurstlab.vtp import estimate_vtp, vtp_batch
 
@@ -359,6 +385,39 @@ def main() -> int:
     warm = rng.exponential(size=(1, WARM_VTP_LENGTH))
     ws = vtp._default_ws(WARM_VTP_LENGTH, False)
     us_per_series(f"vtp_warm.N{WARM_VTP_LENGTH}", lambda: vtp.scale_variances(warm, ws), 1)
+
+    with tempfile.TemporaryDirectory(prefix="time_kernels-text-") as work:
+        modules = {"hurstlab.cli": cli}
+        for n_obs in TEXT_LENGTHS:
+            path = Path(work, f"series{n_obs}.txt")
+            perfbench.workloads._write_series(path, rng.exponential(size=n_obs), f"N={n_obs}")
+            ms_per_call(f"read_series.N{n_obs}", lambda: read_series_file(path))
+
+            def cold_estimate() -> None:
+                perfbench.tracing.clear_caches()
+                code, _, _ = perfbench.workloads.call_cli(modules, ["estimate", str(path)])
+                if code != 0:
+                    sys.exit(f"estimate exited {code}")
+
+            ms_per_call(f"estimate_cold.N{n_obs}", cold_estimate)
+
+    for n_rows, n_obs in SWEEP_SHAPES:
+        x = rng.exponential(size=(n_rows, n_obs))
+        for method, module, kernel, floor in (
+                ("rsal", rs, lambda n: rs.rs_statistics(x, (n,), "sample"), 2),
+                ("dfa", dfa, lambda n: dfa.dfa_fluctuations(x, (n,)), dfa.DFA_MIN_WINDOW)):
+            column_max = module.COLUMN_PATH_MAX
+            for n in (n for n in (2, 4, 8) if floor <= n <= column_max):
+                want = kernel(n)
+                for path_name, path_max in (("column", column_max), ("axis", 0)):
+                    module.COLUMN_PATH_MAX = path_max
+                    try:
+                        if kernel(n).tobytes() != want.tobytes():
+                            sys.exit(f"{method} n = {n}: the axis path's bits differ")
+                        name = f"path_sweep.{method}.{n_rows}x{n_obs}.n{n}.{path_name}"
+                        metrics[f"{name}.us_per_call"] = median_s(name, lambda: kernel(n)) * 1e6
+                    finally:
+                        module.COLUMN_PATH_MAX = column_max
 
     results = [estimate_rsal(series), estimate_dfa(series), estimate_vtp(series)]
     options = {"method": "all", "min_window": 2, "max_window_rule": "half-N",

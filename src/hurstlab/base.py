@@ -193,9 +193,10 @@ class LogLogFits:
 class FitPlan:
     """The scales of a method's log-log fits and the :func:`abscissae`
     triple of their logs: the window or block sizes as Python ints
-    (``windows``) and as a read-only int64 array (``scales``)."""
+    (``windows``, a tuple, or a range for VTP's default block sizes) and
+    as a read-only int64 array (``scales``)."""
 
-    windows: tuple[int, ...]
+    windows: tuple[int, ...] | range
     scales: np.ndarray
     abscissae: tuple[float, np.ndarray, float]
 

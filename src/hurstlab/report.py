@@ -45,6 +45,14 @@ def read_series_file(path) -> np.ndarray:
     a byte that is not UTF-8, raises SeriesParseError carrying its 1-based
     line number. Lines end at ``\\n``, ``\\r\\n`` or ``\\r``; a leading
     byte-order mark is skipped.
+
+    Past a leading run of blank and comment lines (a header), the lines
+    go straight to ``float()``, whose call is the one pass per value. It
+    trims a subset of the whitespace ``str.strip()`` trims (that of
+    ``str.isspace()`` but ``\\x1c``-``\\x1f``), so a line it accepts has the
+    value of its stripped form, and every blank, whitespace or comment
+    line makes it raise. A file on which it raises is parsed again from
+    its stripped lines, which gives the same values, or the error.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -54,14 +62,24 @@ def read_series_file(path) -> np.ndarray:
         lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
         bad = exc.object[exc.start]
         raise SeriesParseError(lineno, f"not UTF-8 text ({exc.reason} 0x{bad:02x})") from None
-    data = [line for line in map(str.strip, lines) if line and line[0] != "#"]
     try:
-        values = np.fromiter(map(float, data), dtype=float, count=len(data))
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
+        values = np.fromiter(map(float, filter(None, itertools.dropwhile(_skipped, lines))),
+                             dtype=float)
+    except ValueError:  # a bad line, or a whitespace or comment line past the header
+        data = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+        try:
+            values = np.fromiter(map(float, data), dtype=float, count=len(data))
+        except ValueError:
+            values = None
+    if values is not None and np.isfinite(values).all():
+        return values
     raise _first_bad_line(lines)
+
+
+def _skipped(line: str) -> bool:
+    """Whether *line* is blank or a '#' comment."""
+    line = line.strip()
+    return not line or line[0] == "#"
 
 
 def _first_bad_line(lines: list[str]) -> SeriesParseError:

@@ -15,10 +15,13 @@ than 2 * :data:`GROUP_BLOCKS` blocks per row or the blocks of one scale, so
 the working memory is O(N). Per series length and scale set, only
 per-scale arrays are cached, and, for a set that is one group, its block
 ends and widths (fewer than 2 * GROUP_BLOCKS of each); a set of more
-groups builds those per group on every call. The default scales'
-log-log abscissae are cached per (length, ``divisors_only``); explicit
-scales build theirs on every call. :func:`vtp_batch` is what the
-simulation grid runs, and :func:`estimate_vtp` is its one-row case.
+groups builds those per group on every call. The default block sizes
+are a range (or, with ``divisors_only``, a tuple of divisors), so that
+neither their plan nor their per-call cache key takes a pass over N/4
+Python ints; their log-log abscissae are cached per (length,
+``divisors_only``). Explicit scales build theirs on every call.
+:func:`vtp_batch` is what the simulation grid runs, and
+:func:`estimate_vtp` is its one-row case.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .base import EstimatorResult, FitPlan, LogLogFits, divisors, fit_plan, loglog_fits
+from .base import EstimatorResult, FitPlan, LogLogFits, divisors, loglog_fits
 from .errors import InsufficientWindows, ScaleTooLarge
+from .regression import abscissae
 from .series import as_series
 
 __all__ = [
@@ -39,19 +43,19 @@ __all__ = [
 ]
 
 
-def _default_ws(n_obs: int, divisors_only: bool) -> tuple[int, ...]:
-    """Default block sizes: every integer w from 1 to N/4.
+def _default_ws(n_obs: int, divisors_only: bool) -> range | tuple[int, ...]:
+    """Default block sizes: every integer w from 1 to N/4, as a range.
 
     Block sizes up to N/2 are valid, but the default stops at N/4 so every
     scale keeps at least 4 complete blocks: the log of a 2- or 3-block
     variance is so skewed that including those scales pushes the fitted
     decay rate far above the true one. With ``divisors_only`` the set is
     further restricted to divisors of N, for which no observations are
-    discarded.
+    discarded, as a tuple.
     """
     if divisors_only:
         return tuple(w for w in divisors(n_obs) if w <= n_obs // 4)
-    return tuple(range(1, n_obs // 4 + 1))
+    return range(1, n_obs // 4 + 1)
 
 
 def _check_scale(n_obs: int, w) -> int:
@@ -68,10 +72,22 @@ def _check_scale(n_obs: int, w) -> int:
     return w
 
 
-def _scale_plan(ws: tuple[int, ...]) -> FitPlan:
-    if len(set(ws)) < 2:
-        raise InsufficientWindows(f"need >= 2 distinct block sizes, got {sorted(set(ws))}")
-    return fit_plan(ws)
+def _int64(ws) -> np.ndarray:
+    """Block sizes *ws* as an int64 array; a range with no pass over its ints."""
+    if isinstance(ws, range):
+        return np.arange(ws.start, ws.stop, ws.step, dtype=np.int64)
+    return np.array(ws, dtype=np.int64)
+
+
+def _scale_plan(ws: range | tuple[int, ...]) -> FitPlan:
+    """The FitPlan of block sizes *ws*, with *ws* as its windows; a range's
+    sizes are distinct without a set() of them."""
+    distinct = ws if isinstance(ws, range) else set(ws)
+    if len(distinct) < 2:
+        raise InsufficientWindows(f"need >= 2 distinct block sizes, got {sorted(distinct)}")
+    scales = _int64(ws)
+    scales.flags.writeable = False
+    return FitPlan(ws, scales, abscissae(np.log(scales.astype(float))))
 
 
 @lru_cache(maxsize=16)
@@ -96,7 +112,7 @@ def _blocks(w: np.ndarray, nb: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray,
 
 
 @lru_cache(maxsize=16)
-def _gather_plan(n_obs: int, ws: tuple[int, ...]):
+def _gather_plan(n_obs: int, ws: range | tuple[int, ...]):
     """Per-scale block sizes and block counts, and the scale groups.
 
     The blocks of each scale form one segment of the sequence of all
@@ -107,7 +123,7 @@ def _gather_plan(n_obs: int, ws: tuple[int, ...]):
     and, when the set is one group, its :func:`_blocks`, else None. Every
     array is read-only.
     """
-    w = np.array(ws, dtype=np.int64)
+    w = _int64(ws)
     nb = n_obs // w
     seg_starts = np.cumsum(nb) - nb
     first = np.ones(w.size, dtype=bool)
@@ -124,8 +140,9 @@ def _gather_plan(n_obs: int, ws: tuple[int, ...]):
     return w, nb, tuple(groups)
 
 
-def scale_variances(x: np.ndarray, ws: tuple[int, ...]) -> np.ndarray:
-    """Aggregated variance of each row of *x* (rows, N) at each block size.
+def scale_variances(x: np.ndarray, ws: range | tuple[int, ...]) -> np.ndarray:
+    """Aggregated variance of each row of *x* (rows, N) at each block size
+    in *ws*, valid block sizes as a range or a tuple of ints.
 
     The block means of size w are those of the floor(N/w) complete blocks;
     trailing remainder observations are discarded. Their variance is taken

@@ -80,3 +80,25 @@ def test_plan_arrays_are_read_only(n_obs):
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+
+
+def _vtp_outcome(x, **kwargs):
+    """The bits of a VTP batch's statistics, H and scales, or its error."""
+    try:
+        fits = vtp.vtp_batch(x, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return fits.statistics.tobytes(), fits.hurst.tobytes(), fits.scales.tolist()
+
+
+@pytest.mark.parametrize("divisors_only", [False, True])
+@pytest.mark.parametrize("n_obs", [4, 7, 8, 9, 12, 127, 128, 2391, 2392, 3072, 32752])
+def test_default_plan_matches_explicit_default_scales(n_obs, divisors_only):
+    # the default path's range-keyed plans, cold and then warm, against the
+    # explicit path given the same block sizes
+    x = np.random.default_rng(n_obs).exponential(size=(2, n_obs))
+    explicit = _vtp_outcome(x, scales=vtp._default_ws(n_obs, divisors_only),
+                            divisors_only=divisors_only)
+    clear_caches()
+    assert _vtp_outcome(x, divisors_only=divisors_only) == explicit
+    assert _vtp_outcome(x, divisors_only=divisors_only) == explicit

@@ -78,6 +78,48 @@ class TestReadSeriesFile:
         assert str(excinfo.value) == "line 3: non-finite value: 'inf'"
 
 
+# Files for each of the reader's two paths: a float() pass over the lines
+# past the header, and the strip pass it falls back to.
+_READER_CASES = {
+    "header_then_numbers": "# label\n0.25\n1.5e-3\n-7\n",
+    "blank_lines_in_header_and_body": "\n# a\n\n# b\n1.5\n\n2.5\n\n",
+    "padding_float_trims": "# h\n \t1.5\x85\n\x0c2.5\u2028\n\u30003\xa0\n",
+    "comment_after_data": "# h\n1.5\n# mid\n2.5\n",
+    "spaces_only_body_line": "# h\n1.5\n   \n2.5\n",
+    "x1c_only_body_line": "# h\n1.5\n\x1c\n2.5\n",
+    "x1c_padded_number": "# h\n1.5\n\x1c2.5\x1f\n",
+    "nan_after_header": "# h\nnan\n1.0\n",
+    "inf_after_fallback": "# h\n1.5\n \n-inf\n",
+    "bad_number_after_header": "# h\n1.5\n1.2.3\n",
+    "bad_number_after_fallback": "1.5\n# c\nabc\n\x1d\n",
+    "empty_file": "",
+    "comment_only_file": "# a\n  # b\n\n",
+    "no_final_newline": "# h\n1.5\n2.5",
+    "crlf_line_ends": "# h\r\n1.5\r\n2.5\r\n",
+    "cr_line_ends": "# h\r1.5\r2.5\r",
+    "cr_line_ends_bad": "# h\r1.5\rx\r",
+    "bom_then_header": "\ufeff# h\n1.5\n2.5\n",
+    "bom_then_number": "\ufeff1.5\n2.5\n",
+}
+
+
+@pytest.mark.parametrize("content", list(_READER_CASES.values()), ids=list(_READER_CASES))
+def test_reader_paths_match_reference(tmp_path, content):
+    path = tmp_path / "series.txt"
+    path.write_bytes(content.encode("utf-8"))
+    try:
+        expected = read_series_reference(path)
+    except ReferenceParseError as ref:
+        with pytest.raises(SeriesParseError) as excinfo:
+            read_series_file(path)
+        assert excinfo.value.line_number == ref.line_number
+        assert str(excinfo.value) == str(ref)
+    else:
+        got = read_series_file(path)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
 # Tokens a series file may hold, each with the padding a line may carry.
 _PAD = st.text(alphabet=" \t\x0b\x0c\x1c\x1d\x1e\x85\u2028", max_size=2)
 _FLOAT_REPR = st.floats(allow_nan=False, allow_infinity=False).map(repr)
