@@ -1,13 +1,13 @@
 """Microseconds per series of the draw and of the R/Sal, DFA and VTP kernels,
 milliseconds per cold VTP estimate, per series-file read, per cold
 ``estimate`` call, per estimate document and per one-cell ``simulate`` call,
-microseconds per short R/S and DFA window on the column and the axis path,
-and the minor page faults of each timed call.
+microseconds per short R/S and DFA window on the window-major and the axis
+path, and the minor page faults of each timed call.
 
 Usage, from anywhere:
 
     python3 scripts/time_kernels.py --root CHECKOUT --seed 1 --calls 200 \
-        [--chunk-elements K]
+        [--chunk-elements K] [--path-sweep]
 
 Imports hurstlab from ``CHECKOUT/src`` only, so two checkouts can be timed
 with one copy of this script. ``--chunk-elements K`` sets
@@ -59,12 +59,17 @@ hurstlab functools cache emptied before each call, as estimate-files runs
 it, both in milliseconds per call.
 
 The ``path_sweep`` rows time, at each (rows, N) of ``SWEEP_SHAPES`` (the
-Monte Carlo workloads' chunk shapes, then one row at each of those three
-lengths), ``rs_statistics`` and ``dfa_fluctuations`` at each one window
-n <= ``regression.COLUMN_PATH_MAX`` (R/S n = 2, 4, 8, DFA n = 4, 8) on the
-column path (``.column``) and, with that bound set to 0 in the ``rs`` or
-``dfa`` module for the row, on the axis path (``.axis``), in microseconds
-per call. The script stops if the two paths' bits differ.
+Monte Carlo workloads' one-cell shapes, the default grid's 256-row chunks at
+N = 128, then one row at each of the estimate-files lengths),
+``rs_statistics`` and ``dfa_fluctuations`` at each one of the default
+policy's R/S and DFA windows of up to ``SWEEP_WINDOW_MAX`` points, on the
+window-major path (``.window_major``) and on the axis path (``.axis``), in
+microseconds per call. Each path is forced by replacing
+``regression.window_major`` in the ``rs`` or ``dfa`` module with a predicate
+that always or never accepts, for that row only. The script stops if the
+two paths' bits differ. ``.chosen`` is 1 where the real predicate sends
+the window window-major and 0 where it keeps the axis path.
+``--path-sweep`` prints only these rows.
 
 ``vtp_warm.N2048`` times ``scale_variances`` on one row of 2048 values at
 the default block sizes, whose plan is cached after the warm-up call, in
@@ -138,10 +143,12 @@ LENGTHS = (128, 1024)
 LONG_LENGTH = 32768
 # the estimate-files workload's shortest, median and longest file lengths
 TEXT_LENGTHS = (2048, 8304, 32752)
-# (rows, N) of the R/S and DFA column/axis sweep: the Monte Carlo workloads'
-# chunk shapes, then one row at each of TEXT_LENGTHS
-SWEEP_SHAPES = ((50, 128), (50, 256), (25, 512), (25, 1024),
+# (rows, N) of the R/S and DFA window-major/axis sweep: the Monte Carlo
+# workloads' one-cell shapes, the default grid's chunks at N = 128, then one
+# row at each of TEXT_LENGTHS
+SWEEP_SHAPES = ((50, 128), (50, 256), (25, 512), (25, 1024), (256, 128),
                 *((1, n) for n in TEXT_LENGTHS))
+SWEEP_WINDOW_MAX = 64
 WARM_VTP_LENGTH = 2048
 MC_ROUNDS = 12
 MC_SEAMS = ("rsal_batch", "dfa_batch", "vtp_batch", "exponential_rows")
@@ -258,6 +265,38 @@ def mc_sequence(workload: str, seed: int, perfbench: SimpleNamespace) -> dict:
     return metrics
 
 
+def path_sweep(rng, median_s) -> dict:
+    """The ``path_sweep`` rows: see the module docstring. *median_s(name,
+    call)* gives a call's median seconds and records its faults."""
+    from hurstlab import dfa, regression, rs
+    from hurstlab.base import DEFAULT_POLICY
+
+    metrics = {}
+    for n_rows, n_obs in SWEEP_SHAPES:
+        x = rng.exponential(size=(n_rows, n_obs))
+        for method, module, kernel, floor in (
+                ("rsal", rs, lambda n: rs.rs_statistics(x, (n,), "sample"), 2),
+                ("dfa", dfa, lambda n: dfa.dfa_fluctuations(x, (n,)), dfa.DFA_MIN_WINDOW)):
+            windows = DEFAULT_POLICY.windows(n_obs, min_window=floor)
+            for n in (n for n in windows if n <= SWEEP_WINDOW_MAX):
+                prefix = f"path_sweep.{method}.{n_rows}x{n_obs}.n{n}"
+                metrics[f"{prefix}.chosen"] = int(regression.window_major(n, x.size))
+                want = None
+                for path_name, accepts in (("window_major", True), ("axis", False)):
+                    module.window_major = lambda n, size, accepts=accepts: accepts
+                    try:
+                        got = kernel(n).tobytes()
+                        if want is not None and got != want:
+                            sys.exit(f"{method} n = {n} at {n_rows} x {n_obs}: "
+                                     "the two paths' bits differ")
+                        want = got
+                        name = f"{prefix}.{path_name}"
+                        metrics[f"{name}.us_per_call"] = median_s(name, lambda: kernel(n)) * 1e6
+                    finally:
+                        module.window_major = regression.window_major
+    return metrics
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", type=Path, required=True)
@@ -269,6 +308,8 @@ def main() -> int:
     parser.add_argument("--mc-sequence", choices=perfbench.run.MC_GRIDS,
                         help="print only this workload's mc_sequence rows, "
                              "measured in this process")
+    parser.add_argument("--path-sweep", action="store_true",
+                        help="print only the path_sweep rows")
     args = parser.parse_args()
     if args.chunk_elements is not None and args.chunk_elements < 1:
         parser.error("--chunk-elements must be >= 1")
@@ -279,7 +320,7 @@ def main() -> int:
     sys.path.insert(0, str(args.root.resolve() / "src"))
     import numpy as np
 
-    from hurstlab import cli, dfa, montecarlo, rs, vtp
+    from hurstlab import cli, montecarlo, vtp
     from hurstlab.cli import main as cli_main
     from hurstlab.dfa import dfa_batch, estimate_dfa
     from hurstlab.report import estimates_to_json, read_series_file
@@ -292,7 +333,7 @@ def main() -> int:
         print(json.dumps(mc_sequence(args.mc_sequence, args.seed, perfbench)))
         return 0
     metrics = {}
-    for workload in perfbench.run.MC_GRIDS:
+    for workload in () if args.path_sweep else perfbench.run.MC_GRIDS:
         child = [sys.executable, __file__, "--root", str(args.root), "--seed",
                  str(args.seed), "--mc-sequence", workload]
         if args.chunk_elements is not None:
@@ -343,6 +384,11 @@ def main() -> int:
         return SimpleNamespace(hurst=np.full(x.shape[0], 0.5))
 
     rng = np.random.default_rng(args.seed)
+    if args.path_sweep:
+        metrics.update(path_sweep(rng, median_s))
+        print(json.dumps({"numpy": np.__version__, "seed": args.seed, "calls": args.calls,
+                          "metrics": metrics}))
+        return 0
     rows = {}
     for n_obs in LENGTHS:
         rows[n_obs] = montecarlo.chunk_rows(n_obs)
@@ -401,24 +447,7 @@ def main() -> int:
 
             ms_per_call(f"estimate_cold.N{n_obs}", cold_estimate)
 
-    for n_rows, n_obs in SWEEP_SHAPES:
-        x = rng.exponential(size=(n_rows, n_obs))
-        for method, module, kernel, floor in (
-                ("rsal", rs, lambda n: rs.rs_statistics(x, (n,), "sample"), 2),
-                ("dfa", dfa, lambda n: dfa.dfa_fluctuations(x, (n,)), dfa.DFA_MIN_WINDOW)):
-            column_max = module.COLUMN_PATH_MAX
-            for n in (n for n in (2, 4, 8) if floor <= n <= column_max):
-                want = kernel(n)
-                for path_name, path_max in (("column", column_max), ("axis", 0)):
-                    module.COLUMN_PATH_MAX = path_max
-                    try:
-                        if kernel(n).tobytes() != want.tobytes():
-                            sys.exit(f"{method} n = {n}: the axis path's bits differ")
-                        name = f"path_sweep.{method}.{n_rows}x{n_obs}.n{n}.{path_name}"
-                        metrics[f"{name}.us_per_call"] = median_s(name, lambda: kernel(n)) * 1e6
-                    finally:
-                        module.COLUMN_PATH_MAX = column_max
-
+    metrics.update(path_sweep(rng, median_s))
     results = [estimate_rsal(series), estimate_dfa(series), estimate_vtp(series)]
     options = {"method": "all", "min_window": 2, "max_window_rule": "half-N",
                "sd_mode": "sample", "vtp_divisors_only": False}

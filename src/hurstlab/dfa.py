@@ -32,7 +32,14 @@ from .base import (
     fit_plan,
     loglog_fits,
 )
-from .regression import COLUMN_PATH_MAX, abscissae, line_fit, line_fit_columns
+from .regression import (
+    abscissae,
+    cumulate_rows,
+    line_fit,
+    window_major,
+    window_major_copy,
+    window_major_rms,
+)
 from .series import as_series
 
 __all__ = [
@@ -74,16 +81,16 @@ _cached_profile_abscissae = lru_cache(maxsize=32)(_profile_abscissae)
 
 def _fluctuations(seg: np.ndarray) -> np.ndarray:
     """RMS residual of each subseries' cumulative profile about its OLS line,
-    for every subseries along the last axis. Windows of up to
-    COLUMN_PATH_MAX values cumulate and fit their profiles column by column."""
+    for every subseries along the last axis. Windows that
+    ``regression.window_major`` accepts cumulate and fit their profiles on
+    one window-major copy of the subseries."""
     n = seg.shape[-1]
     t = (_cached_profile_abscissae if n <= CACHED_WINDOW_MAX else _profile_abscissae)(n)
-    if n > COLUMN_PATH_MAX:
+    if not window_major(n, seg.size):
         return line_fit(t, np.cumsum(seg, axis=-1))[2]
-    profile = [seg[..., 0]]
-    for i in range(1, n):
-        profile.append(profile[-1] + seg[..., i])
-    return line_fit_columns(t, profile)[2]
+    profiles = window_major_copy(seg)
+    cumulate_rows(profiles)
+    return window_major_rms(t, profiles).reshape(seg.shape[:-1])
 
 
 def dfa_fluctuations(x: np.ndarray, windows) -> np.ndarray:

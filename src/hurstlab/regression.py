@@ -1,4 +1,4 @@
-"""Ordinary least-squares line fitting, and the column sums of short windows.
+"""Ordinary least-squares line fitting, and the window-major sums of short windows.
 
 One implementation serves every line fit in this package: the log-log slope
 regressions that produce the Hurst estimates, and the within-window linear
@@ -14,31 +14,31 @@ reduction that ``ndarray.sum`` runs behind a Python-level wrapper, so the
 bits are the same without that wrapper's cost, which a one-cell simulation
 would pay some sixty times.
 
-Short windows run column by column. A numpy reduction along a last axis
-only a few values long pays a loop set-up per row, which dominates the
-kernels at the shortest windows (n = 2, 4, 8). Up to :data:`COLUMN_PATH_MAX`
-values, the kernels instead apply elementwise operations to the column views
-``a[..., i]``, and :func:`column_sum` adds them; :func:`fit_columns` is DFA's
-line fit of such a window. A log-log fit has only one row per series, too
-few for the loop set-up to outweigh the column path's extra numpy calls, so
-it reduces along its axis whatever its length. The bytes of every estimate
-hold only because the column sum keeps numpy's own order: ``ndarray.sum``
-adds fewer than 8 values one after another, and from 8 values on it keeps 8
-partial sums combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``. At
-exactly 8 each partial sum is one value, so that tree is the whole sum.
-Beyond 8 the partial sums would have to be mirrored as well, and a Python
-loop over that many columns is slower than the reduction, so longer windows
-stay on the axis path. numpy also starts from its identity +0.0, so a sum of
--0.0 terms is +0.0; the column sum adds 0.0 last to match. A numpy release
-that changed this order would fail the tests that pin it rather than move an
-estimate's low bits.
+Short windows run window-major. A numpy reduction or cumulative sum along a
+last axis only a few values long pays a loop set-up per subseries, which
+dominates the R/S and DFA kernels at their short windows. Where
+:func:`window_major` accepts a window, the kernels instead copy its
+subseries once into an (n, M) array ``t``, one row per position and one
+column per subseries, and work on whole rows: a cumulative sum is ``t[i] +=
+t[i - 1]``, and :func:`rows_sum` adds the rows. :func:`window_major_rms` is
+DFA's line fit of such a window. Every other window, and every log-log fit,
+reduces along its last axis. The bytes of every estimate hold only because
+the row sum keeps numpy's own order for a last axis of 2 to 128 values:
+fewer than 8 values are added one after another; from 8 values on numpy
+keeps 8 partial sums, the first 8 values and then one block of 8 added to
+them at a time, combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``,
+and adds the values left over past the last whole block one at a time.
+numpy also starts from its identity +0.0, so a sum of -0.0 terms is +0.0;
+the row sum adds 0.0 last to match. A numpy release that changed this order
+would fail the tests that pin it rather than move an estimate's low bits.
+The two paths give the same bits, so the path a window takes may depend on
+the chunk's size as well as on n.
 
 A fit needs its abscissae as the triple (x_bar, x - x_bar, Sxx) that
-:func:`abscissae` makes. :func:`fit_rows` and :func:`fit_columns` make it
-from raw abscissae on every call; the kernels take it from a plan built once
-per series length and options (``base.FitPlan``'s log scales, and DFA's
-``t = 1..n`` per window length) and pass it to :func:`line_fit` and
-:func:`line_fit_columns`, which the raw entries call too.
+:func:`abscissae` makes. :func:`fit_rows` makes it from raw abscissae on
+every call; the kernels take it from a plan built once per series length
+and options (``base.FitPlan``'s log scales, and DFA's ``t = 1..n`` per
+window length) and pass it to :func:`line_fit` or :func:`window_major_rms`.
 """
 
 from __future__ import annotations
@@ -51,8 +51,12 @@ from .errors import DegenerateDesign
 
 __all__ = ["RegressionFit", "fit_rows"]
 
-#: Longest window that the kernels compute column by column.
-COLUMN_PATH_MAX = 8
+#: Longest window that the kernels compute window-major.
+WINDOW_MAJOR_MAX = 32
+#: Least number of values per n * n of a window's length for it to run
+#: window-major: below it there are too few subseries for row operations to
+#: outrun the loop set-ups they save.
+WINDOW_MAJOR_VALUES = 16
 
 
 @dataclass(frozen=True)
@@ -64,18 +68,56 @@ class RegressionFit:
     residual_rms: float
 
 
-def column_sum(cols):
-    """Sum of 2 to 8 equal-shape arrays, bit for bit ``np.stack(cols,
-    axis=-1).sum(axis=-1)`` (see the module docstring for the order)."""
-    if len(cols) == 8:
-        total = ((cols[0] + cols[1]) + (cols[2] + cols[3])) + \
-                ((cols[4] + cols[5]) + (cols[6] + cols[7]))
+def window_major(n: int, size: int) -> bool:
+    """Whether the kernels run a window of *n* points over *size* values
+    (all rows and subseries of a chunk) window-major. Constants from
+    ``scripts/time_kernels.py``'s path sweep; :func:`rows_sum` holds for
+    n <= 128."""
+    return n <= WINDOW_MAJOR_MAX and size >= WINDOW_MAJOR_VALUES * n * n
+
+
+def rows_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Sum over the 2 to 128 rows of *a*, or of ``a * b``, bit for bit
+    ``np.add.reduce(a.T, axis=-1)`` or ``np.add.reduce((a * b).T, axis=-1)``
+    (see the module docstring for the order). *b* broadcasts against *a*,
+    and no temporary is larger than 8 rows, so a product of large arrays is
+    never held whole."""
+    n = a.shape[0]
+    whole = 0 if n < 8 else n - n % 8
+    if not whole:
+        total = a[0] + a[1] if b is None else a[0] * b[0] + a[1] * b[1]
+        whole = 2
     else:
-        total = cols[0] + cols[1]
-        for col in cols[2:]:
-            total += col
+        if b is None:
+            partial = a[:8] if whole == 8 else a[:8] + a[8:16]
+            for k in range(16, whole, 8):
+                partial += a[k:k + 8]
+        else:
+            partial = a[:8] * b[:8]
+            block = np.empty_like(partial) if whole > 8 else None
+            for k in range(8, whole, 8):
+                np.multiply(a[k:k + 8], b[k:k + 8], out=block)
+                partial += block
+        pairs = partial[0::2] + partial[1::2]
+        pairs[0::2] += pairs[1::2]
+        total = pairs[0] + pairs[2]
+    for i in range(whole, n):
+        total += a[i] if b is None else a[i] * b[i]
     total += 0.0
     return total
+
+
+def window_major_copy(seg: np.ndarray) -> np.ndarray:
+    """The subseries along the last axis of *seg* as the columns of a new
+    C-ordered (n, M) array; a copy even where the transpose is a C-ordered
+    view (M = 1)."""
+    return seg.reshape(-1, seg.shape[-1]).T.copy()
+
+
+def cumulate_rows(t: np.ndarray) -> None:
+    """``np.cumsum(t, axis=0)`` in place, bit for bit: one add per row."""
+    for i in range(1, t.shape[0]):
+        t[i] += t[i - 1]
 
 
 def abscissae(x) -> tuple[float, np.ndarray, float]:
@@ -125,20 +167,19 @@ def line_fit(absc, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return slope, y_bar - slope * x_bar, residual_rms
 
 
-def fit_columns(x, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`fit_rows` of the m <= 8 columns ``y[..., i]``, given as a list:
-    the within-window fit of DFA's short windows, bit for bit the same.
-    Raises ValueError when *x* and *cols* differ in length."""
-    return line_fit_columns(abscissae(x), cols)
-
-
-def line_fit_columns(absc, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`fit_columns` given the :func:`abscissae` triple of *x*."""
-    x_bar, xc, sxx = absc
-    m = len(cols)
-    y_bar = column_sum(cols) / m
-    yc = [col - y_bar for col in cols]
-    slope = column_sum([c * xi for c, xi in zip(yc, xc, strict=True)]) / sxx
-    residuals = [c - slope * xi for c, xi in zip(yc, xc)]
-    residual_rms = np.sqrt(column_sum([r * r for r in residuals]) / m)
-    return slope, y_bar - slope * x_bar, residual_rms
+def window_major_rms(absc, y) -> np.ndarray:
+    """The ``residual_rms`` of :func:`line_fit` for each column of *y*
+    (m, M) against the abscissae, bit for bit. *y* is overwritten with the
+    residuals, and no other temporary is larger than 8 rows."""
+    _, xc, sxx = absc
+    m = xc.shape[0]
+    xc = xc[:, None]
+    y -= rows_sum(y) / m
+    slope = rows_sum(y, xc) / sxx
+    line = np.empty((min(m, 8), y.shape[1]))
+    for k in range(0, m, 8):
+        residuals = y[k:k + 8]
+        fitted = line[:residuals.shape[0]]
+        np.multiply(slope, xc[k:k + 8], out=fitted)
+        residuals -= fitted
+    return np.sqrt(rows_sum(y, y) / m)

@@ -39,7 +39,7 @@ from .base import (
     loglog_fits,
 )
 from .errors import InvalidWindow
-from .regression import COLUMN_PATH_MAX, column_sum
+from .regression import cumulate_rows, rows_sum, window_major, window_major_copy
 from .series import _ddof, as_series
 
 __all__ = [
@@ -54,23 +54,19 @@ __all__ = [
 def _rescaled_ranges(seg: np.ndarray, ddof: int) -> tuple[np.ndarray, np.ndarray]:
     """R/S of every subseries along the last axis, and whether its SD is
     nonzero; the R/S of a zero-SD (degenerate) subseries is set to 0.
-    Windows of up to COLUMN_PATH_MAX values run as elementwise operations
-    over their columns ``seg[..., i]``, with every sum in numpy's order."""
+    Windows that ``regression.window_major`` accepts run on one
+    window-major copy of the subseries, with every sum in numpy's order."""
     n = seg.shape[-1]
-    if n > COLUMN_PATH_MAX:
+    if not window_major(n, seg.size):
         return _rescaled_ranges_along_axis(seg, ddof)
-    cols = [seg[..., i] for i in range(n)]
-    mean = column_sum(cols) / n
-    centred = [col - mean for col in cols]
-    sd = np.sqrt(column_sum([c * c for c in centred]) / (n - ddof))
-    profile = hi = lo = centred[0]
-    for c in centred[1:]:
-        profile = profile + c
-        hi = np.maximum(hi, profile)
-        lo = np.minimum(lo, profile)
-    ranges = hi - lo
+    t = window_major_copy(seg)
+    t -= rows_sum(t) / n
+    sd = np.sqrt(rows_sum(t, t) / (n - ddof))
+    cumulate_rows(t)
+    ranges = np.maximum.reduce(t, axis=0) - np.minimum.reduce(t, axis=0)
     ok = sd > 0.0
-    return np.divide(ranges, sd, out=np.zeros_like(ranges), where=ok), ok
+    rs = np.divide(ranges, sd, out=np.zeros_like(sd), where=ok)
+    return rs.reshape(seg.shape[:-1]), ok.reshape(seg.shape[:-1])
 
 
 def _rescaled_ranges_along_axis(seg: np.ndarray, ddof: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +107,10 @@ def rs_statistics(x: np.ndarray, windows, sd_mode: str) -> np.ndarray:
     return out
 
 
-# typed: a float key such as 16.0 must reach the integer check, not hit 16's entry
-@lru_cache(maxsize=None, typed=True)
+# typed: a float key such as 16.0 must reach the integer check, not hit 16's
+# entry. _plan keeps 16 plans of at most a few hundred windows each (the
+# divisors of N), which this bound holds with room to spare.
+@lru_cache(maxsize=1024, typed=True)
 def expected_rs(n: int) -> float:
     """Small-sample expectation E(R/S)_n of the rescaled range for i.i.d. data.
 

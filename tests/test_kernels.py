@@ -4,9 +4,10 @@ Every estimator has one implementation, which fits a (rows, N) matrix of
 series at once; ``estimate_*`` runs it on one row. These tests require each
 row of a batch to come out bit for bit as the same series estimated alone,
 which is what keeps a Monte Carlo report independent of how its cells are
-chunked. Windows of up to COLUMN_PATH_MAX values run column by column, and
-DFA fits their profiles with ``fit_columns``; they must equal the reductions
-along the last axis, ``fit_rows`` among them, bit for bit.
+chunked. Short windows over enough values run window-major
+(``regression.window_major``), so whether a window takes that path depends
+on the batch's size; the window-major path must equal the reductions along
+the last axis, ``fit_rows`` among them, bit for bit.
 """
 
 import numpy as np
@@ -18,7 +19,15 @@ from hurstlab.base import DEFAULT_POLICY, FAILURES, MAX_WINDOW_RULES, WindowPoli
 from hurstlab.dfa import DFA_MIN_WINDOW, _fluctuations, dfa_batch, estimate_dfa
 from hurstlab.errors import InsufficientWindows
 from hurstlab.montecarlo import SimulationCell, mse, run_cell
-from hurstlab.regression import COLUMN_PATH_MAX, fit_columns, fit_rows
+from hurstlab.regression import (
+    WINDOW_MAJOR_MAX,
+    WINDOW_MAJOR_VALUES,
+    abscissae,
+    fit_rows,
+    window_major,
+    window_major_copy,
+    window_major_rms,
+)
 from hurstlab.rs import (
     _rescaled_ranges,
     _rescaled_ranges_along_axis,
@@ -126,27 +135,47 @@ def _assert_bits_equal(got, want) -> None:
         assert a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    rows=st.integers(1, 70),
-    d=st.integers(1, 12),
-    n=st.integers(2, COLUMN_PATH_MAX),
-)
-def test_column_paths_equal_axis_paths(seed, rows, d, n):
-    # windows of up to COLUMN_PATH_MAX values take the column paths; the
-    # axis paths, which longer windows and every log-log fit run, are the
-    # reference
-    seg = _subseries(seed, rows, d, n)
+def _assert_window_major_equals_axis(seg: np.ndarray) -> None:
+    # the window-major path works on its own copy, never on the input
+    given_bytes = seg.tobytes()
     for ddof in (0, 1):
         _assert_bits_equal(_rescaled_ranges(seg, ddof), _rescaled_ranges_along_axis(seg, ddof))
+    n = seg.shape[-1]
     t = np.arange(1.0, n + 1.0)
     if n >= 3:
         _assert_bits_equal([_fluctuations(seg)],
                            [fit_rows(t, np.cumsum(seg, axis=-1))[2]])
     for x in (t, np.log(t + 1.0)):
-        _assert_bits_equal(fit_columns(x, [seg[..., i] for i in range(n)]),
-                           fit_rows(x, seg))
+        got = window_major_rms(abscissae(x), window_major_copy(seg))
+        _assert_bits_equal([got.reshape(seg.shape[:-1])], [fit_rows(x, seg)[2]])
+    assert seg.tobytes() == given_bytes
+
+
+@pytest.mark.parametrize("n", range(2, WINDOW_MAJOR_MAX + 2))
+def test_window_major_paths_equal_axis_paths_at_the_predicate_edge(n):
+    # at each n, the least size window_major accepts and the size one
+    # subseries below it; past WINDOW_MAJOR_MAX every size takes the axis path
+    least = WINDOW_MAJOR_VALUES * n * n
+    for seed, shape, accepted in ((n, (WINDOW_MAJOR_VALUES, n, n), True),
+                                  (n + 1, (1, WINDOW_MAJOR_VALUES * n - 1, n), False)):
+        seg = _subseries(seed, *shape)
+        assert seg.size == least - (0 if accepted else n)
+        assert window_major(n, seg.size) == (accepted and n <= WINDOW_MAJOR_MAX)
+        _assert_window_major_equals_axis(seg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 70),
+    d=st.integers(1, 40),
+    n=st.integers(2, WINDOW_MAJOR_MAX),
+)
+def test_window_major_paths_equal_axis_paths(seed, rows, d, n):
+    # the axis paths, which the other windows and every log-log fit run,
+    # are the reference
+    seg = _subseries(seed, rows, d, n)
+    _assert_window_major_equals_axis(seg)
 
 
 # (rows, N, n): the axis path lays its profiles out subseries-major when

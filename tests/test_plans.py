@@ -1,11 +1,14 @@
 """Per-length plans: no cache state changes an output, and no cached array
 can be written."""
 
+import inspect
+import pkgutil
 import sys
 
 import numpy as np
 import pytest
 
+import hurstlab
 from hurstlab import base, dfa, rs, vtp
 from hurstlab.cli import main
 from hurstlab.sampling import ExponentialSpec, exponential_rows
@@ -21,6 +24,23 @@ def clear_caches() -> None:
             for obj in list(vars(module).values()):
                 if callable(getattr(obj, "cache_clear", None)):
                     obj.cache_clear()
+
+
+def test_every_parameterised_cache_is_bounded():
+    # an unbounded cache keyed by a caller's arguments grows without limit in
+    # a long-lived process; only a cache of a function without parameters,
+    # which holds one entry, may go without a maxsize
+    caches = {}
+    for info in pkgutil.iter_modules(hurstlab.__path__, "hurstlab."):
+        module = __import__(info.name, fromlist=["_"])
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_parameters", None)) and obj.__module__ == info.name:
+                caches[f"{info.name}.{name}"] = obj
+    assert "hurstlab.rs.expected_rs" in caches and "hurstlab.cli.build_parser" in caches
+    for name, cached in caches.items():
+        if inspect.signature(cached.__wrapped__).parameters:
+            assert cached.cache_parameters()["maxsize"] is not None, name
+    assert rs.expected_rs.cache_parameters()["typed"]
 
 
 def test_cache_state_changes_no_output(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hurstlab.errors import DegenerateDesign
-from hurstlab.regression import COLUMN_PATH_MAX, column_sum, fit_rows
+from hurstlab.regression import fit_rows, rows_sum
 
 
 def _fit(x, y):
@@ -135,11 +135,59 @@ _MIXED = st.one_of(
     st.floats(1e-3, 1e6), st.floats(-1e6, -1e-3), st.sampled_from([0.0, -0.0]))
 
 
+# 2 to 128 terms: numpy's summation order for a last axis of up to 128
+# values, which rows_sum mirrors over its first axis
+_TERMS = st.integers(2, 128)
+
+
+def _assert_rows_sum_is_numpy_sum(a: np.ndarray) -> None:
+    # the sum of the rows, of their squares, and of their products with a
+    # column of weights, each against numpy's reduction of the same terms
+    t = np.ascontiguousarray(a.T)
+    given_bytes = t.tobytes()
+    weights = np.linspace(-2.5, 3.0, a.shape[1])
+    for got, want in ((rows_sum(t), np.add.reduce(a, axis=-1)),
+                      (rows_sum(t, t), np.add.reduce(a * a, axis=-1)),
+                      (rows_sum(t, weights[:, None]), np.add.reduce(a * weights, axis=-1))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert t.tobytes() == given_bytes
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(2, COLUMN_PATH_MAX).flatmap(lambda m: hnp.arrays(
-    np.float64, st.tuples(st.integers(1, 30), st.just(m)), elements=_MIXED)))
-def test_column_sum_is_numpy_sum(rows):
-    # the column paths of the kernels keep every byte of an estimate only
-    # while this holds; a numpy release that reorders its sum fails here
-    got = column_sum([rows[:, i] for i in range(rows.shape[1])])
-    assert got.tobytes() == rows.sum(axis=-1).tobytes()
+@given(_TERMS.flatmap(lambda m: hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 30), st.just(m)),
+    elements=st.one_of(_MIXED, st.sampled_from([math.inf, -math.inf])))))
+def test_rows_sum_is_numpy_sum(rows):
+    # the window-major paths of the kernels keep every byte of an estimate
+    # only while this holds; a numpy release that reorders its sum fails here
+    with np.errstate(invalid="ignore", over="ignore"):
+        _assert_rows_sum_is_numpy_sum(rows)
+
+
+def test_rows_sum_is_numpy_sum_at_every_length():
+    rng = np.random.default_rng(128)
+    for m in range(2, 129):
+        a = rng.exponential(size=(40, m)) * 10.0 ** rng.integers(-3, 7, (40, m))
+        a *= rng.choice([-1.0, 1.0], a.shape)
+        a[rng.random(a.shape) < 0.05] = 0.0
+        a[rng.random(a.shape) < 0.05] = -0.0
+        a[-1] = -0.0
+        a[-2, rng.integers(0, m)] = math.inf
+        a[-3, rng.integers(0, m, 2)] = math.inf, -math.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            _assert_rows_sum_is_numpy_sum(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TERMS.flatmap(lambda m: hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 30), st.just(m)),
+    elements=st.one_of(_MIXED, st.just(math.nan)))))
+def test_rows_sum_has_numpy_sum_nans(rows):
+    # the sign and payload of a NaN sum may follow another operand order;
+    # where the sum is a number, it is numpy's to the bit
+    got = rows_sum(np.ascontiguousarray(rows.T))
+    want = np.add.reduce(rows, axis=-1)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
