@@ -3,7 +3,7 @@
 Usage, from anywhere inside a hurstlab checkout:
 
     python3 scripts/bench_pairs.py PARENT [CHANGE] --workload W --pairs K \
-        --seed-base S [--seconds 30] [--fault-factor 2] [--round 1] [--out FILE]
+        --seed-base S [--seconds 30] > RECORD.json
 
 Exports PARENT and CHANGE (default ``HEAD``) with ``git archive`` into two
 sibling directories of equal path length under a new temporary directory,
@@ -14,10 +14,10 @@ page faults and peak RSS come from ``os.wait4`` on the run's own process,
 so a run whose heap was trimmed and faulted in again on every call shows
 as such; ``minflt_per_call`` divides the faults (the untimed set-up's among
 them) by the run's timed calls, which its ``.perfbench-out`` record gives.
-Prints, and with ``--out`` writes, one JSON document whose ``workloads``
-section has the shape of the committed ``BENCH_*.json``
-files: per workload and round, the launch, a summary of every end-to-end
-metric that ``BENCHMARK.json`` names, and every run.
+Each run's record goes to stderr as it ends. Stdout gets one JSON document
+whose ``workloads`` section has the shape of the committed ``BENCH_*.json``
+files: for the workload, the launch, a summary of every end-to-end metric
+that ``BENCHMARK.json`` names, and every run.
 
 For each metric the summary gives each side's median and quartiles
 (linear interpolation, numpy's default), the change in the medians in
@@ -25,8 +25,8 @@ percent, the median of the per-pair ratios change / parent, the number
 of pairs in which the change is better (in the metric's ``better``
 direction), and whether the medians differ by more than the parent's
 interquartile range. ``heap_state_pairs`` lists the seeds of the pairs
-whose two runs' fault counts differ by more than ``--fault-factor``:
-those pairs compare heap states as much as commits. Uses the standard
+whose two runs' fault counts differ by more than ``FAULT_FACTOR``: those
+pairs compare heap states as much as commits. Uses the standard
 library only.
 """
 
@@ -44,6 +44,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+# A heap trimmed and faulted in again on every call faults several times
+# as often as one that is not (BENCH_22.json's launch sweep).
+FAULT_FACTOR = 2.0
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -54,8 +57,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarise(runs: list[dict], metrics: list[tuple[str, str]],
-              fault_factor: float) -> dict:
+def summarise(runs: list[dict], metrics: list[tuple[str, str]]) -> dict:
     """The summary of *runs* (dicts with ``seed``, ``side`` and each metric),
     paired by seed; *metrics* are (name, ``"higher"`` or ``"lower"``)."""
     by_seed = {}
@@ -82,7 +84,7 @@ def summarise(runs: list[dict], metrics: list[tuple[str, str]],
     summary["heap_state_pairs"] = [
         pair["parent"]["seed"] for pair in pairs
         if max(pair["parent"]["minflt"], pair["change"]["minflt"])
-        > fault_factor * min(pair["parent"]["minflt"], pair["change"]["minflt"])]
+        > FAULT_FACTOR * min(pair["parent"]["minflt"], pair["change"]["minflt"])]
     summary["failed"] = sum(run["failed"] for run in runs)
     summary["attempted"] = sum(run["attempted"] for run in runs)
     summary["all_correct"] = all(run["correct"] for run in runs)
@@ -138,12 +140,9 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed-base", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--fault-factor", type=float, default=2.0)
-    parser.add_argument("--round", type=int, default=1)
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args()
-    if args.pairs < 1 or args.seconds <= 0 or args.fault_factor < 1:
-        parser.error("need --pairs >= 1, --seconds > 0 and --fault-factor >= 1")
+    if args.pairs < 1 or args.seconds <= 0:
+        parser.error("need --pairs >= 1 and --seconds > 0")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as work:
@@ -165,13 +164,9 @@ def main() -> int:
     doc = {"parent_commit": commits["parent"], "change_commit": commits["change"],
            "command": f"python3 perfbench/run.py --workload {args.workload} --seed S "
                       f"--seconds {args.seconds:g}, from each export's root",
-           "workloads": {f"{args.workload}.round{args.round}": {
-               "launch": launch, "summary": summarise(runs, metrics, args.fault_factor),
-               "runs": runs}}}
-    text = json.dumps(doc, indent=1)
-    if args.out:
-        args.out.write_text(text + "\n")
-    print(text)
+           "workloads": {args.workload: {
+               "launch": launch, "summary": summarise(runs, metrics), "runs": runs}}}
+    print(json.dumps(doc, indent=1))
     return 0
 
 

@@ -14,7 +14,10 @@ The fluctuations are computed for a (rows, N) batch of series at once;
 :func:`estimate_dfa` is its one-row case. The windows and their log-log
 abscissae are built once per series length and window policy
 (:func:`dfa_plan`), and the abscissae of t = 1..n once per window length
-up to :data:`CACHED_WINDOW_MAX`.
+up to :data:`CACHED_WINDOW_MAX`. Short windows over enough subseries
+cumulate and fit their profiles window-major, on one transposed copy of
+their subseries, and the others along the last axis; both give the same
+bits (``regression``'s docstring).
 """
 
 from __future__ import annotations

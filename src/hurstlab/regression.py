@@ -19,20 +19,22 @@ last axis only a few values long pays a loop set-up per subseries, which
 dominates the R/S and DFA kernels at their short windows. Where
 :func:`window_major` accepts a window, the kernels instead copy its
 subseries once into an (n, M) array ``t``, one row per position and one
-column per subseries, and work on whole rows: a cumulative sum is ``t[i] +=
-t[i - 1]``, and :func:`rows_sum` adds the rows. :func:`window_major_rms` is
-DFA's line fit of such a window. Every other window, and every log-log fit,
-reduces along its last axis. The bytes of every estimate hold only because
-the row sum keeps numpy's own order for a last axis of 2 to 128 values:
-fewer than 8 values are added one after another; from 8 values on numpy
-keeps 8 partial sums, the first 8 values and then one block of 8 added to
-them at a time, combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``,
-and adds the values left over past the last whole block one at a time.
-numpy also starts from its identity +0.0, so a sum of -0.0 terms is +0.0;
-the row sum adds 0.0 last to match. A numpy release that changed this order
-would fail the tests that pin it rather than move an estimate's low bits.
-The two paths give the same bits, so the path a window takes may depend on
-the chunk's size as well as on n.
+column per subseries (:func:`window_major_copy`), and work on whole rows: a
+cumulative sum is ``t[i] += t[i - 1]`` (:func:`cumulate_rows`), and
+:func:`rows_sum` adds the rows, or their products with another array, 8
+rows per numpy call. :func:`window_major_rms` is DFA's line fit of such a
+window. Every other window, and every log-log fit, reduces along its last
+axis. The bytes of every estimate hold only because the row sum keeps
+numpy's own order for a last axis of 2 to 128 values: fewer than 8 values
+are added one after another; from 8 values on numpy keeps 8 partial sums,
+the first 8 values with one block of 8 added to them at a time, combines
+them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and adds the values left
+over past the last whole block one at a time. numpy also starts from its
+identity +0.0, so a sum of -0.0 terms is +0.0; the row sum adds 0.0 last to
+match. A numpy release that changed this order would fail the tests that
+pin it rather than move an estimate's low bits. The two paths give the same
+bits, so which one a window takes may depend on the size of the chunk as
+well as on n, and a Monte Carlo report stays the same whatever the chunking.
 
 A fit needs its abscissae as the triple (x_bar, x - x_bar, Sxx) that
 :func:`abscissae` makes. :func:`fit_rows` makes it from raw abscissae on
@@ -53,9 +55,9 @@ __all__ = ["RegressionFit", "fit_rows"]
 
 #: Longest window that the kernels compute window-major.
 WINDOW_MAJOR_MAX = 32
-#: Least number of values per n * n of a window's length for it to run
-#: window-major: below it there are too few subseries for row operations to
-#: outrun the loop set-ups they save.
+#: A window of n points runs window-major over at least this many times n * n
+#: values, that is at least 16 n subseries: with fewer, its n numpy calls per
+#: row pass cost more than the per-subseries loop set-ups they save.
 WINDOW_MAJOR_VALUES = 16
 
 
@@ -70,9 +72,9 @@ class RegressionFit:
 
 def window_major(n: int, size: int) -> bool:
     """Whether the kernels run a window of *n* points over *size* values
-    (all rows and subseries of a chunk) window-major. Constants from
-    ``scripts/time_kernels.py``'s path sweep; :func:`rows_sum` holds for
-    n <= 128."""
+    (all rows and subseries of a chunk) window-major. The constants come
+    from ``scripts/time_kernels.py``'s path sweep (``BENCH_26.json``), and
+    :func:`rows_sum` holds for n <= 128 only."""
     return n <= WINDOW_MAJOR_MAX and size >= WINDOW_MAJOR_VALUES * n * n
 
 
@@ -88,17 +90,23 @@ def rows_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
         total = a[0] + a[1] if b is None else a[0] * b[0] + a[1] * b[1]
         whole = 2
     else:
-        if b is None:
-            partial = a[:8] if whole == 8 else a[:8] + a[8:16]
-            for k in range(16, whole, 8):
-                partial += a[k:k + 8]
-        else:
+        partial = None
+        if b is not None:
             partial = a[:8] * b[:8]
             block = np.empty_like(partial) if whole > 8 else None
             for k in range(8, whole, 8):
                 np.multiply(a[k:k + 8], b[k:k + 8], out=block)
                 partial += block
-        pairs = partial[0::2] + partial[1::2]
+        elif whole > 8:
+            partial = a[:8] + a[8:16]
+            for k in range(16, whole, 8):
+                partial += a[k:k + 8]
+        # the tree, in place where the partial sums are not a's own rows
+        if partial is None:
+            pairs = a[0:8:2] + a[1:8:2]
+        else:
+            pairs = partial[0::2]
+            pairs += partial[1::2]
         pairs[0::2] += pairs[1::2]
         total = pairs[0] + pairs[2]
     for i in range(whole, n):
@@ -170,16 +178,13 @@ def line_fit(absc, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def window_major_rms(absc, y) -> np.ndarray:
     """The ``residual_rms`` of :func:`line_fit` for each column of *y*
     (m, M) against the abscissae, bit for bit. *y* is overwritten with the
-    residuals, and no other temporary is larger than 8 rows."""
+    squared residuals, and no other temporary is larger than 8 rows."""
     _, xc, sxx = absc
     m = xc.shape[0]
     xc = xc[:, None]
     y -= rows_sum(y) / m
     slope = rows_sum(y, xc) / sxx
-    line = np.empty((min(m, 8), y.shape[1]))
     for k in range(0, m, 8):
-        residuals = y[k:k + 8]
-        fitted = line[:residuals.shape[0]]
-        np.multiply(slope, xc[k:k + 8], out=fitted)
-        residuals -= fitted
-    return np.sqrt(rows_sum(y, y) / m)
+        y[k:k + 8] -= slope * xc[k:k + 8]
+    y *= y
+    return np.sqrt(rows_sum(y) / m)

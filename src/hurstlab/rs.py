@@ -18,7 +18,10 @@ The statistics are computed for a (rows, N) batch of series at once;
 :func:`rsal_batch` is what the simulation grid runs, and the
 single-series estimators are its one-row case. The windows, their log-log
 abscissae and the E(R/S)_n and sqrt(0.5 * pi * n) offsets of each window
-are built once per series length and window policy (:func:`_plan`).
+are built once per series length and window policy (:func:`_plan`). Short
+windows over enough subseries run window-major, on one transposed copy of
+their subseries, and the others along the last axis; both give the same
+bits (``regression``'s docstring).
 """
 
 from __future__ import annotations

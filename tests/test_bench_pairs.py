@@ -27,7 +27,7 @@ def test_summary_of_a_committed_record_is_reproduced():
     record = json.loads((ROOT / "BENCH_25.json").read_text())
     for name, workload in record["workloads"].items():
         runs = [{**run, "minflt": 1} for run in workload["runs"]]
-        got = bench_pairs.summarise(runs, METRICS, fault_factor=2.0)
+        got = bench_pairs.summarise(runs, METRICS)
         assert got.pop("heap_state_pairs") == [], name
         want = workload["summary"]
         assert got.keys() == want.keys(), name
@@ -46,7 +46,7 @@ def test_summary_arithmetic():
         runs += [_run(i, "parent", series_per_s=p, latency_p50_ms=p),
                  _run(i, "change", series_per_s=c, latency_p50_ms=c)]
     summary = bench_pairs.summarise(
-        runs, [("series_per_s", "higher"), ("latency_p50_ms", "lower")], 2.0)
+        runs, [("series_per_s", "higher"), ("latency_p50_ms", "lower")])
     assert summary["pairs"] == 4 and summary["seeds"] == [0, 1, 2, 3]
     higher = summary["series_per_s"]
     # parent sorted 10, 11, 12, 13: q1 10.75, median 11.5, q3 12.25
@@ -63,11 +63,12 @@ def test_summary_arithmetic():
 
 
 def test_pairs_in_different_heap_states_are_flagged():
+    assert bench_pairs.FAULT_FACTOR == 2.0
     runs = [_run(0, "parent", 1000, series_per_s=1.0), _run(0, "change", 2000, series_per_s=1.0),
             _run(1, "parent", 1000, series_per_s=1.0), _run(1, "change", 2001, series_per_s=1.0),
             _run(2, "change", 5000, series_per_s=1.0), _run(2, "parent", 1000, series_per_s=1.0),
             _run(3, "parent", 1000, series_per_s=1.0)]  # no partner: not a pair
-    summary = bench_pairs.summarise(runs, [("series_per_s", "higher")], 2.0)
+    summary = bench_pairs.summarise(runs, [("series_per_s", "higher")])
     assert summary["pairs"] == 3
     assert summary["heap_state_pairs"] == [1, 2]
     assert summary["series_per_s"]["pairs_change_better"] == 0
