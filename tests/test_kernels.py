@@ -171,6 +171,7 @@ def test_window_major_paths_equal_axis_paths_at_the_predicate_edge(n):
     d=st.integers(1, 40),
     n=st.integers(2, WINDOW_MAJOR_MAX),
 )
+@example(seed=0, rows=1, d=1, n=4)  # one subseries: its transpose is a C-ordered view
 def test_window_major_paths_equal_axis_paths(seed, rows, d, n):
     # the axis paths, which the other windows and every log-log fit run,
     # are the reference
