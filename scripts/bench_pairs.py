@@ -3,13 +3,22 @@
 Usage, from anywhere inside a hurstlab checkout:
 
     python3 scripts/bench_pairs.py PARENT [CHANGE] --workload W --pairs K \
-        --seed-base S [--seconds 30] > RECORD.json
+        --seed-base S [--seconds 30] [--launch-dirs L1,L2,...] > RECORD.json
 
 Exports PARENT and CHANGE (default ``HEAD``) with ``git archive`` into two
 sibling directories of equal path length under a new temporary directory,
 then runs ``perfbench/run.py --workload W --seed SEED --seconds SECONDS``
 from each export's root, K pairs with seeds S, S + 1, ..., the parent first
-on even pair indices and the change first on odd ones. Each run's minor
+on even pair indices and the change first on odd ones.
+
+With ``--launch-dirs``, each of the directories L1, L2, ... (which must not
+exist; each is created for the run and removed after it) holds its own
+exports of both commits in place of the temporary directory, so the same
+pairs run from export paths of different lengths: the launch, not only the
+commit, decides which heap state glibc leaves a run in (BENCH_22.json's
+launch sweep). Pair i runs in L1, then in L2, and so on, before pair i + 1.
+Each launch gets its own summary and runs, under the key ``W.launchJ``
+(J = 1, 2, ...). Each run's minor
 page faults and peak RSS come from ``os.wait4`` on the run's own process,
 so a run whose heap was trimmed and faulted in again on every call shows
 as such; ``minflt_per_call`` divides the faults (the untimed set-up's among
@@ -33,8 +42,10 @@ library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -132,7 +143,14 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
             "maxrss_mib": round(usage.ru_maxrss / 1024, 2)}
 
 
-def main() -> int:
+def _launch(roots: dict, seconds: float) -> str:
+    return (f"fresh `git archive` exports of both commits in sibling directories at "
+            f"{len(str(roots['parent']))}-character paths, one {seconds:g} s run per "
+            f"side per seed, pairs alternating which side runs first (parent first on "
+            f"even pair indices)")
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change", nargs="?", default="HEAD")
@@ -140,32 +158,46 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed-base", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=30.0)
-    args = parser.parse_args()
+    parser.add_argument("--launch-dirs", type=lambda text: [Path(d).absolute()
+                                                            for d in text.split(",")])
+    args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("need --pairs >= 1 and --seconds > 0")
+    if args.launch_dirs and any(d.exists() for d in args.launch_dirs):
+        parser.error("every --launch-dirs directory must not exist yet")
+    if args.launch_dirs and len(set(args.launch_dirs)) < len(args.launch_dirs):
+        parser.error("--launch-dirs names a directory twice")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
-    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as work:
-        roots = {side: Path(work, side[:1]) for side in SIDES}
-        commits = {side: export(rev, roots[side])
-                   for side, rev in zip(SIDES, (args.parent, args.change))}
-        runs = []
+    with contextlib.ExitStack() as stack:
+        if args.launch_dirs:
+            bases = args.launch_dirs
+            for base in bases:
+                base.mkdir(parents=True)
+                stack.callback(shutil.rmtree, base)
+        else:
+            bases = [Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="bench_pairs-")))]
+        launches = [{side: Path(base, side[:1]) for side in SIDES} for base in bases]
+        for roots in launches:
+            commits = {side: export(rev, roots[side])
+                       for side, rev in zip(SIDES, (args.parent, args.change))}
+        keys = ([args.workload] if len(launches) == 1
+                else [f"{args.workload}.launch{j}" for j in range(1, len(launches) + 1)])
+        runs = [[] for _ in launches]
         for i in range(args.pairs):
             seed = args.seed_base + i
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                run = {"seed": seed, "side": side,
-                       **run_once(roots[side], args.workload, seed, args.seconds)}
-                runs.append(run)
-                print(json.dumps(run), file=sys.stderr)
-    launch = (f"fresh `git archive` exports of both commits in sibling directories at "
-              f"{len(str(roots['parent']))}-character paths, one {args.seconds:g} s run per "
-              f"side per seed, pairs alternating which side runs first (parent first on "
-              f"even pair indices)")
+            for key, roots, launch_runs in zip(keys, launches, runs):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    run = {"seed": seed, "side": side,
+                           **run_once(roots[side], args.workload, seed, args.seconds)}
+                    launch_runs.append(run)
+                    print(key, json.dumps(run), file=sys.stderr)
     doc = {"parent_commit": commits["parent"], "change_commit": commits["change"],
            "command": f"python3 perfbench/run.py --workload {args.workload} --seed S "
                       f"--seconds {args.seconds:g}, from each export's root",
-           "workloads": {args.workload: {
-               "launch": launch, "summary": summarise(runs, metrics), "runs": runs}}}
+           "workloads": {key: {"launch": _launch(roots, args.seconds),
+                               "summary": summarise(launch_runs, metrics), "runs": launch_runs}
+                         for key, roots, launch_runs in zip(keys, launches, runs)}}
     print(json.dumps(doc, indent=1))
     return 0
 

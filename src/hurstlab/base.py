@@ -39,6 +39,10 @@ WARN_NONSTATIONARY = "NONSTATIONARY_OR_DETREND_FAIL"
 
 MAX_WINDOW_RULES = ("half-N", "full-N")
 
+# A failure message lists at most this many failing scales; above that it
+# gives their count and range, so that its line stays short.
+LISTED_SCALES = 64
+
 # The one failure rule. A row fails when a statistic is NaN, <= 0 or
 # infinite; its fit is then NaN, and LogLogFits.result raises the (class,
 # wording) paired here with the first of those kinds, in that order, it has.
@@ -171,14 +175,19 @@ class LogLogFits:
 
     def result(self, row: int = 0) -> EstimatorResult:
         """The EstimatorResult of one row. A failed row raises the error
-        FAILURES names, listing every scale of its first failure kind; a DFA
+        FAILURES names, listing the scales of its first failure kind, or,
+        above :data:`LISTED_SCALES` of them, their count and range; a DFA
         slope above 1 flags non-stationarity or a failed detrend, a warning."""
         stats = self.statistics[row]
         kinds = (np.isnan(stats), stats <= 0.0, np.isinf(stats))
         for (error, what), bad in zip(FAILURES[self.method], kinds):
             if bad.any():
                 scale = "w" if self.method == "VTP" else "n"
-                raise error(f"{what} at {scale}={self.scales[bad].tolist()}")
+                scales = self.scales[bad]
+                if scales.size <= LISTED_SCALES:
+                    raise error(f"{what} at {scale}={scales.tolist()}")
+                raise error(f"{what} at {scales.size} of {self.scales.size} {scale} "
+                            f"in {scales.min()}..{scales.max()}")
         fit = RegressionFit(
             slope=float(self.slope[row]),
             intercept=float(self.intercept[row]),

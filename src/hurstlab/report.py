@@ -47,13 +47,29 @@ def read_series_file(path) -> np.ndarray:
     byte-order mark is skipped.
 
     Past a leading run of blank and comment lines (a header), the lines
-    go straight to ``float()``, whose call is the one pass per value. It
-    trims a subset of the whitespace ``str.strip()`` trims (that of
-    ``str.isspace()`` but ``\\x1c``-``\\x1f``), so a line it accepts has the
-    value of its stripped form, and every blank, whitespace or comment
-    line makes it raise. A file on which it raises is parsed again from
-    its stripped lines, which gives the same values, or the error.
+    go straight to ``float()`` as the open file yields them, so no copy
+    of the whole text is made and ``float()``'s call is the one pass per
+    value. It trims a subset of the whitespace ``str.strip()`` trims (that
+    of ``str.isspace()`` but ``\\x1c``-``\\x1f``), so a line it accepts has
+    the value of its stripped form, and every blank, whitespace or comment
+    line makes it raise. A file on which it raises, that is not UTF-8 or
+    that holds a non-finite value is read again whole (:func:`_read_text`),
+    which gives the same values, or the error.
     """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            values = np.fromiter(map(float, itertools.dropwhile(_skipped, fh)), dtype=float)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:  # UnicodeDecodeError is one
+        pass
+    return _read_text(path)
+
+
+def _read_text(path) -> np.ndarray:
+    """:func:`read_series_file` from the file's whole text, which takes the
+    blank lines past its header and, when ``float()`` raises, its stripped
+    lines; raises the SeriesParseError of the first bad line or byte."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")

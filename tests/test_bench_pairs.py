@@ -72,3 +72,56 @@ def test_pairs_in_different_heap_states_are_flagged():
     assert summary["pairs"] == 3
     assert summary["heap_state_pairs"] == [1, 2]
     assert summary["series_per_s"]["pairs_change_better"] == 0
+
+
+def test_launch_dirs_run_the_same_pairs_from_each(tmp_path, monkeypatch, capsys):
+    # canned runs: the parent faults on every call in the longer launch
+    # directory only, as a parent in glibc's trimming heap state would
+    short, long_ = tmp_path / "s", tmp_path / ("l" * 100)
+    calls = []
+
+    def export(rev, dest):
+        dest.mkdir()
+        return f"commit-{rev}"
+
+    def run_once(root, workload, seed, seconds):
+        calls.append((root.parent.name[:1], root.name, seed))
+        trimmed = root.parent == long_ and root.name == "p"
+        return {"setup_s": 0.1, "series_per_s": 100.0 + seed + (root.name == "c"),
+                "latency_p50_ms": 3.0, "latency_p90_ms": 4.0, "peak_rss_mib": 40.0,
+                "attempted": 5, "failed": 0, "correct": True, "timed_calls": 10,
+                "minflt": 9000 if trimmed else 1000}
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["P", "C", "--workload", "mc-long", "--pairs", "3", "--seed-base",
+                             "70", "--launch-dirs", f"{short},{long_}"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # pair i in every launch before pair i + 1, alternating which side runs first
+    assert calls == [("s", "p", 70), ("s", "c", 70), ("l", "p", 70), ("l", "c", 70),
+                     ("s", "c", 71), ("s", "p", 71), ("l", "c", 71), ("l", "p", 71),
+                     ("s", "p", 72), ("s", "c", 72), ("l", "p", 72), ("l", "c", 72)]
+    assert (doc["parent_commit"], doc["change_commit"]) == ("commit-P", "commit-C")
+    assert list(doc["workloads"]) == ["mc-long.launch1", "mc-long.launch2"]
+    first, second = doc["workloads"].values()
+    assert f"at {len(str(short / 'p'))}-character paths" in first["launch"]
+    assert f"at {len(str(long_ / 'p'))}-character paths" in second["launch"]
+    for launch in (first, second):
+        assert [run["seed"] for run in launch["runs"]] == [70, 70, 71, 71, 72, 72]
+        summary = launch["summary"]
+        assert summary.keys() == {"pairs", "seeds", *(name for name, _ in METRICS),
+                                  "heap_state_pairs", "failed", "attempted", "all_correct"}
+        assert summary["seeds"] == [70, 71, 72]
+        assert summary["series_per_s"]["pairs_change_better"] == 3
+    assert first["summary"]["heap_state_pairs"] == []
+    assert second["summary"]["heap_state_pairs"] == [70, 71, 72]
+    assert not short.exists() and not long_.exists()
+
+
+def test_launch_dirs_that_exist_are_refused(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        bench_pairs.main(["P", "--workload", "mc-long", "--pairs", "1", "--seed-base", "1",
+                          "--launch-dirs", f"{tmp_path / 'new'},{tmp_path}"])
+    assert excinfo.value.code == 2
+    assert "must not exist" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()

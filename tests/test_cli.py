@@ -145,6 +145,17 @@ class TestEstimate:
         assert err.startswith("hurstlab: series: |x| up to ")
         assert err.endswith(" overflows float64 squares above 1.6367e+150 at N = 256\n")
 
+    def test_failure_over_many_scales_is_one_short_line(self, tmp_path, capsys):
+        # every one of the 8192 default block sizes fails; listing them all
+        # took a 48100-byte line
+        path = tmp_path / "constant.txt"
+        path.write_text("2.5\n" * 32768)
+        assert main(["estimate", str(path), "--method", "vtp"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "hurstlab: ZeroVariance: aggregated variance is 0 at 8192 of 8192 w in 1..8192\n"
+        assert len(err.encode()) < 200
+
     @pytest.mark.parametrize("scale, rule", [(1e200, "|x| up to"), (1e154, "|x| up to"),
                                              (1e-170, "spread")])
     def test_out_of_range_series_exits_2(self, tmp_path, capsys, scale, rule):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hurstlab import vtp
 from hurstlab.errors import InsufficientWindows, ScaleTooLarge, SeriesError, ZeroVariance
 from hurstlab.vtp import _default_ws, _gather_plan, estimate_vtp, scale_variances, vtp_batch
 from oracles import (
@@ -95,6 +96,17 @@ class TestScaleVariancesOracle:
         for n_obs in [*range(4, 301), 3072, 32768]:
             self._assert_bits_equal(_mixed_rows(n_obs, n_obs),
                                     _default_ws(n_obs, divisors_only))
+
+    @pytest.mark.parametrize("values", [1, 7, 64])
+    def test_start_slices_match_loop(self, monkeypatch, values):
+        # slices of 1, 3 or 12 blocks on 2 and 5 rows split groups and
+        # scales mid-way; N = 300 is one group of scales, 3072 two, and
+        # the explicit scales at 20000 four; a batch of no rows is empty
+        monkeypatch.setattr(vtp, "START_GATHER_VALUES", values)
+        for rows in (0, 2, 5):
+            for n_obs, ws in ((300, _default_ws(300, False)), (97, (48, 3, 3, 1)),
+                              (3072, _default_ws(3072, False)), (20000, (1, 2, 3, 1, 5))):
+                self._assert_bits_equal(_mixed_rows(n_obs, n_obs)[:rows], ws)
 
     def test_any_valid_scales_match_loop(self):
         self._assert_bits_equal(_mixed_rows(100, 1), tuple(range(1, 51)))
@@ -197,6 +209,13 @@ class TestEstimateVtp:
                 vtp_batch(rows).result()
         assert str(excinfo.value) == (
             f"statistic is not finite (float64 overflow) at w={list(range(1, 65))}")
+        # above 64 failing scales the message gives their count and range
+        rows = exp_series(260, seed=47)[None, :] * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SeriesError) as excinfo:
+                vtp_batch(rows).result()
+        assert str(excinfo.value) == (
+            "statistic is not finite (float64 overflow) at 65 of 65 w in 1..65")
 
     def test_affine_invariance(self, exp_series):
         series = exp_series(256, seed=46)
