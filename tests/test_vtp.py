@@ -97,16 +97,17 @@ class TestScaleVariancesOracle:
             self._assert_bits_equal(_mixed_rows(n_obs, n_obs),
                                     _default_ws(n_obs, divisors_only))
 
-    @pytest.mark.parametrize("values", [1, 7, 64])
-    def test_start_slices_match_loop(self, monkeypatch, values):
-        # slices of 1, 3 or 12 blocks on 2 and 5 rows split groups and
-        # scales mid-way; N = 300 is one group of scales, 3072 two, and
-        # the explicit scales at 20000 four; a batch of no rows is empty
+    @pytest.mark.parametrize("values", [1, 7, 64, 400])
+    def test_start_tiles_match_loop(self, monkeypatch, values):
+        # tiles of 1, 7 or 64 blocks split groups and scales mid-way, and of
+        # 400 values two of the 163-block rows at N = 97; N = 300 is one
+        # group of scales, 3072 two, and (1, 4096, 1) at 16386 three
         monkeypatch.setattr(vtp, "START_GATHER_VALUES", values)
         for rows in (0, 2, 5):
-            for n_obs, ws in ((300, _default_ws(300, False)), (97, (48, 3, 3, 1)),
-                              (3072, _default_ws(3072, False)), (20000, (1, 2, 3, 1, 5))):
+            for n_obs, ws in ((300, _default_ws(300, False)), (97, (48, 3, 3, 1))):
                 self._assert_bits_equal(_mixed_rows(n_obs, n_obs)[:rows], ws)
+        for n_obs, ws in ((3072, _default_ws(3072, False)), (16386, (1, 4096, 1))):
+            self._assert_bits_equal(_mixed_rows(n_obs, n_obs)[:2], ws)
 
     def test_any_valid_scales_match_loop(self):
         self._assert_bits_equal(_mixed_rows(100, 1), tuple(range(1, 51)))
