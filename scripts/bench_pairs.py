@@ -18,14 +18,16 @@ pairs run from export paths of different lengths: the launch, not only the
 commit, decides which heap state glibc leaves a run in (BENCH_22.json's
 launch sweep). Pair i runs in L1, then in L2, and so on, before pair i + 1.
 Each launch gets its own summary and runs, under the key ``W.launchJ``
-(J = 1, 2, ...). Each run's minor
-page faults and peak RSS come from ``os.wait4`` on the run's own process,
-so a run whose heap was trimmed and faulted in again on every call shows
-as such; ``minflt_per_call`` divides the faults (the untimed set-up's among
-them) by the run's timed calls, which its ``.perfbench-out`` record gives.
-Each run's record goes to stderr as it ends. Stdout gets one JSON document
-whose ``workloads`` section has the shape of the committed ``BENCH_*.json``
-files: for the workload, the launch, a summary of every end-to-end metric
+(J = 1, 2, ...).
+
+Each run's minor page faults and peak RSS come from ``os.wait4`` on the
+run's own process, so a run whose heap was trimmed and faulted in again on
+every call shows as such; ``minflt_per_call`` divides the faults (the
+untimed set-up's among them) by the run's timed calls, which its
+``.perfbench-out`` record gives. Each run's record goes to stderr as it
+ends, after its key. Stdout gets one JSON document whose ``workloads``
+section has the shape of the committed ``BENCH_*.json`` files: for each
+launch of the workload, the launch, a summary of every end-to-end metric
 that ``BENCHMARK.json`` names, and every run.
 
 For each metric the summary gives each side's median and quartiles
@@ -144,6 +146,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def _launch(roots: dict, seconds: float) -> str:
+    """How the runs from the exports at *roots* were launched."""
     return (f"fresh `git archive` exports of both commits in sibling directories at "
             f"{len(str(roots['parent']))}-character paths, one {seconds:g} s run per "
             f"side per seed, pairs alternating which side runs first (parent first on "
@@ -163,10 +166,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("need --pairs >= 1 and --seconds > 0")
-    if args.launch_dirs and any(d.exists() for d in args.launch_dirs):
-        parser.error("every --launch-dirs directory must not exist yet")
-    if args.launch_dirs and len(set(args.launch_dirs)) < len(args.launch_dirs):
-        parser.error("--launch-dirs names a directory twice")
+    if args.launch_dirs and (len(set(args.launch_dirs)) < len(args.launch_dirs)
+                             or any(d.exists() for d in args.launch_dirs)):
+        parser.error("--launch-dirs must name distinct directories that do not exist yet")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
     with contextlib.ExitStack() as stack:

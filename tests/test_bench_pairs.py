@@ -123,5 +123,5 @@ def test_launch_dirs_that_exist_are_refused(tmp_path, capsys):
         bench_pairs.main(["P", "--workload", "mc-long", "--pairs", "1", "--seed-base", "1",
                           "--launch-dirs", f"{tmp_path / 'new'},{tmp_path}"])
     assert excinfo.value.code == 2
-    assert "must not exist" in capsys.readouterr().err
+    assert "do not exist yet" in capsys.readouterr().err
     assert not (tmp_path / "new").exists()
