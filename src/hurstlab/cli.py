@@ -61,7 +61,7 @@ MAX_EXPECTED_RS_N = 10**6
 MAX_EXPECTED_RS_ROWS = 1000
 # An iteration's time grows as N log N (VTP's blocks); at this length one takes
 # about 40 ms through the three estimators, and VTP's working arrays, which
-# grow as N, peak near 3 MiB.
+# grow as N, peak near 3.5 MiB (BENCH_27.json, 1 x 65536 cold).
 MAX_SIMULATE_SIZE = 65536
 # A cell holds three float64 estimates per iteration (24 MB at this count)
 # and takes about 100 s at N = 128; far larger counts fail to allocate.

@@ -44,49 +44,50 @@ def read_series_file(path) -> np.ndarray:
     Blank lines are ignored. Any other unparseable or non-finite line, or
     a byte that is not UTF-8, raises SeriesParseError carrying its 1-based
     line number. Lines end at ``\\n``, ``\\r\\n`` or ``\\r``; a leading
-    byte-order mark is skipped.
+    byte-order mark is skipped. The file is opened once, so a pipe or FIFO
+    reads as a regular file does.
 
-    Past a leading run of blank and comment lines (a header), the lines
-    go straight to ``float()`` as the open file yields them, so no copy
-    of the whole text is made and ``float()``'s call is the one pass per
-    value. It trims a subset of the whitespace ``str.strip()`` trims (that
-    of ``str.isspace()`` but ``\\x1c``-``\\x1f``), so a line it accepts has
-    the value of its stripped form, and every blank, whitespace or comment
-    line makes it raise. A file on which it raises, that is not UTF-8 or
-    that holds a non-finite value is read again whole (:func:`_read_text`),
-    which gives the same values, or the error.
+    When the file can seek, the lines past a leading run of blank and
+    comment lines (a header) go straight to ``float()`` as the open file
+    yields them, so no copy of the whole text is made and ``float()``'s
+    call is the one pass per value. It trims a subset of the whitespace
+    ``str.strip()`` trims (that of ``str.isspace()`` but
+    ``\\x1c``-``\\x1f``), so a line it accepts has the value of its
+    stripped form, and every blank, whitespace or comment line makes it
+    raise. A file on which it raises, that is not UTF-8 or that holds a
+    non-finite value is read again whole from its start
+    (:func:`_read_text`), which gives the same values, or the error. A file
+    that cannot seek, such as a pipe, takes that whole-text pass at once.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            values = np.fromiter(map(float, itertools.dropwhile(_skipped, fh)), dtype=float)
-        if np.isfinite(values).all():
-            return values
-    except ValueError:  # UnicodeDecodeError is one
-        pass
-    return _read_text(path)
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        if fh.seekable():
+            try:
+                values = np.fromiter(map(float, itertools.dropwhile(_skipped, fh)),
+                                     dtype=float)
+                if np.isfinite(values).all():
+                    return values
+            except ValueError:  # UnicodeDecodeError is one
+                pass
+            fh.seek(0)
+        return _read_text(fh)
 
 
-def _read_text(path) -> np.ndarray:
-    """:func:`read_series_file` from the file's whole text, which takes the
-    blank lines past its header and, when ``float()`` raises, its stripped
-    lines; raises the SeriesParseError of the first bad line or byte."""
+def _read_text(fh) -> np.ndarray:
+    """:func:`read_series_file` from the whole text of the open file *fh*:
+    its stripped data lines, or the SeriesParseError of its first bad line
+    or byte."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.read().split("\n")
+        lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         head = exc.object[: exc.start]
         lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
         bad = exc.object[exc.start]
         raise SeriesParseError(lineno, f"not UTF-8 text ({exc.reason} 0x{bad:02x})") from None
+    data = [line for line in map(str.strip, lines) if line and line[0] != "#"]
     try:
-        values = np.fromiter(map(float, filter(None, itertools.dropwhile(_skipped, lines))),
-                             dtype=float)
-    except ValueError:  # a bad line, or a whitespace or comment line past the header
-        data = [line for line in map(str.strip, lines) if line and line[0] != "#"]
-        try:
-            values = np.fromiter(map(float, data), dtype=float, count=len(data))
-        except ValueError:
-            values = None
+        values = np.fromiter(map(float, data), dtype=float, count=len(data))
+    except ValueError:
+        values = None
     if values is not None and np.isfinite(values).all():
         return values
     raise _first_bad_line(lines)

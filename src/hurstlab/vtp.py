@@ -13,15 +13,15 @@ cumulative sums. The default scales have about N ln(N/4) blocks per row;
 they are gathered one group of scales at a time, and a group holds fewer
 than 2 * :data:`GROUP_BLOCKS` blocks per row or the blocks of one scale, so
 the working memory is O(N). A group keeps one (rows, blocks) gather live,
-its block ends, and subtracts its block starts from it in tiles of at most
-:data:`START_GATHER_VALUES` values. Per series length and scale set, only
-per-scale arrays are cached, and, for a set that is one group, its block
-ends and widths (fewer than 2 * GROUP_BLOCKS of each); a set of more
-groups builds those per group on every call. The default block sizes
-are a range (or, with ``divisors_only``, a tuple of divisors), so that
-neither their plan nor their per-call cache key takes a pass over N/4
-Python ints; their log-log abscissae are cached per (length,
-``divisors_only``). Explicit scales build theirs on every call.
+its block ends, and subtracts its block starts from it in tiles of whole
+rows, of at most :data:`START_GATHER_VALUES` values or one row. Per series
+length and scale set, only per-scale arrays are cached, and, for a set
+that is one group, its block ends and widths (fewer than 2 * GROUP_BLOCKS
+of each); a set of more groups builds those per group on every call. The
+default block sizes are a range (or, with ``divisors_only``, a tuple of
+divisors), so that neither their plan nor their per-call cache key takes
+a pass over N/4 Python ints; their log-log abscissae are cached per
+(length, ``divisors_only``). Explicit scales build theirs on every call.
 :func:`vtp_batch` is what the simulation grid runs, and
 :func:`estimate_vtp` is its one-row case.
 """
@@ -100,10 +100,11 @@ def _default_plan(n_obs: int, divisors_only: bool) -> FitPlan:
 
 # About this many blocks per row are gathered at once (see _gather_plan).
 GROUP_BLOCKS = 16384
-# The block starts are gathered at most this many values (rows x blocks) at
-# a time. The ends stay one gather per group: that gather is the largest
-# block the process frees, which sets glibc's mmap and trim thresholds, and
-# smaller end gathers made mc-long fault on every call.
+# The block starts are gathered in tiles of whole rows, of at most this many
+# values (rows x blocks) or one row. The ends stay one gather per group:
+# that gather is the largest block the process frees, which sets glibc's
+# mmap and trim thresholds, and smaller end gathers made mc-long fault on
+# every call.
 START_GATHER_VALUES = 32768
 
 
@@ -159,8 +160,8 @@ def scale_variances(x: np.ndarray, ws: range | tuple[int, ...]) -> np.ndarray:
 
     Block k of scale w spans [k * w, (k + 1) * w); its sum is a difference
     of the row-wise cumsum: each group of scales gathers its block ends
-    whole and subtracts its block starts gathered in tiles of at most
-    :data:`START_GATHER_VALUES` values.
+    whole and subtracts its block starts gathered in tiles of whole rows, of
+    at most :data:`START_GATHER_VALUES` values or one row.
     """
     w, nb, groups = _gather_plan(x.shape[-1], ws)
     cs = np.zeros((x.shape[0], x.shape[-1] + 1))
@@ -172,14 +173,11 @@ def scale_variances(x: np.ndarray, ws: range | tuple[int, ...]) -> np.ndarray:
         sq = cs.take(ends, axis=1)
         # the block starts, in place when the ends were built for this call
         starts = np.subtract(ends, widths, out=None if blocks else ends)
-        # tiles of whole rows, or of one row's blocks when a row holds more
-        # than the budget, are contiguous: column slices of every row made
+        # tiles of whole rows are contiguous: column slices of every row made
         # scale_variances 14-19% slower at mc-long's shapes
-        cols = min(starts.size, START_GATHER_VALUES)
-        rows = max(START_GATHER_VALUES // cols, 1)
-        for r in range(0, x.shape[0], rows):
-            for a in range(0, starts.size, cols):
-                sq[r:r + rows, a:a + cols] -= cs[r:r + rows].take(starts[a:a + cols], axis=1)
+        step = max(START_GATHER_VALUES // starts.size, 1)
+        for r in range(0, x.shape[0], step):
+            sq[r:r + step] -= cs[r:r + step].take(starts, axis=1)
         sq /= widths
         sq -= mean
         sq *= sq

@@ -1,4 +1,5 @@
 import json
+import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -76,6 +77,42 @@ class TestReadSeriesFile:
         with pytest.raises(SeriesParseError) as excinfo:
             read_series_file(path)
         assert str(excinfo.value) == "line 3: non-finite value: 'inf'"
+
+
+# Past the first 8 KiB a text file reads ahead, so a second read of a pipe
+# would start mid-file; each case breaks the streamed pass there.
+_PIPED_HEAD = "# h\n" + "".join(f"{k / 7:.12f}\n" for k in range(1000))
+_PIPED_CASES = {
+    "blank_line": _PIPED_HEAD + "\n" + "2.5\n" * 1000,
+    "bad_line": _PIPED_HEAD + "2.5\n" * 500 + "abc\n" + "2.5\n" * 500,
+    "non_finite": _PIPED_HEAD + "2.5\n" * 500 + "nan\n" + "2.5\n" * 500,
+    "not_utf8": _PIPED_HEAD + "2.5\n" * 500 + "\udcff\n",
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("content", list(_PIPED_CASES.values()), ids=list(_PIPED_CASES))
+def test_pipe_reads_as_regular_file(tmp_path, content):
+    data = content.encode("utf-8", "surrogateescape")
+    assert 8192 < len(data) < 65536  # fits the pipe's buffer unread
+    path = tmp_path / "series.txt"
+    path.write_bytes(data)
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, data)
+        os.close(write_fd)
+        piped = f"/dev/fd/{read_fd}"
+        try:
+            expected = read_series_file(path)
+        except SeriesParseError as exc:
+            with pytest.raises(SeriesParseError) as excinfo:
+                read_series_file(piped)
+            assert excinfo.value.line_number == exc.line_number
+            assert str(excinfo.value) == str(exc)
+        else:
+            assert read_series_file(piped).tobytes() == expected.tobytes()
+    finally:
+        os.close(read_fd)
 
 
 # Files for each of the reader's two paths: a float() pass over the lines

@@ -97,10 +97,11 @@ class TestScaleVariancesOracle:
             self._assert_bits_equal(_mixed_rows(n_obs, n_obs),
                                     _default_ws(n_obs, divisors_only))
 
-    @pytest.mark.parametrize("values", [1, 7, 64, 400])
+    @pytest.mark.parametrize("values", [1, 7, 64, 400, 3000])
     def test_start_tiles_match_loop(self, monkeypatch, values):
-        # tiles of 1, 7 or 64 blocks split groups and scales mid-way, and of
-        # 400 values two of the 163-block rows at N = 97; N = 300 is one
+        # tiles of 1, 7 or 64 values are one row each; of 400 values, two of
+        # the 163-block rows at N = 97, and of 3000, two of the 1442-block
+        # rows at N = 300, so 5 rows end on a short tile; N = 300 is one
         # group of scales, 3072 two, and (1, 4096, 1) at 16386 three
         monkeypatch.setattr(vtp, "START_GATHER_VALUES", values)
         for rows in (0, 2, 5):
