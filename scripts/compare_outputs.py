@@ -21,6 +21,11 @@ The suite:
   constant file, a 3-point file, a doubly integrated Gaussian walk (its DFA
   slope is above 1) and a series whose squares overflow float64. Each
   call's stdout, stderr and exit code are compared.
+- The usage cases: ``hurstlab --help``, ``--version``, each subcommand's
+  ``--help``, no arguments, an unknown command, and for each subcommand a
+  missing argument, an option it does not take and a bad option value. Each
+  call's stdout, stderr and exit code are compared, so every help and usage
+  text is checked byte for byte.
 - The stdout, stderr and exit code of each ``demos/*.py``, and the files it
   writes.
 
@@ -55,6 +60,18 @@ SIMULATE_RUNS = {
     "options": ["--vtp-divisors-only", "--sd-mode", "population", "--min-window", "4"],
 }
 METHOD_CHOICES = ("rsal", "dfa", "vtp", "all")
+# Argument lists that print help or usage and exit; "FILE" is a series file.
+USAGE_RUNS = (
+    ["--help"], ["--version"], [], ["estimat", "FILE"],
+    ["estimate", "--help"], ["simulate", "--help"], ["expected-rs", "--help"],
+    ["estimate"], ["estimate", "FILE", "--lambdas", "1"],
+    ["estimate", "FILE", "--method", "mle"], ["estimate", "FILE", "--min-window", "two"],
+    ["simulate", "--bogus"], ["simulate", "--sizes", "x"], ["simulate", "--format", "xml"],
+    ["expected-rs"], ["expected-rs", "16", "--method", "rsal"],
+    ["--version", "estimate", "FILE"], ["-h", "simulate"],
+)
+# Help text wraps at the terminal's width, which each side reads from COLUMNS.
+COLUMNS = "80"
 DURATION = re.compile(r"\bin \d+\.\d+s\b")
 
 
@@ -125,6 +142,12 @@ def run_side(root: Path, data: Path, out: Path) -> int:
                    for fmt in ("json", "csv") for method in METHOD_CHOICES]
         Path("estimate", path.name).write_text("".join(records), encoding="utf-8")
 
+    series = str(data / "series-000.txt")
+    records = [run_cli(main, [series if arg == "FILE" else arg for arg in argv], root)
+               for argv in USAGE_RUNS]
+    Path("usage.txt").write_text("".join(records).replace(str(data), "<data>"),
+                                 encoding="utf-8")
+
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     for demo in sorted((root / "demos").glob("*.py")):
         directory = Path("demos", demo.stem)
@@ -193,7 +216,7 @@ def main() -> int:
         (work / "data").mkdir()
         make_data(work / "data")
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-               "MKL_NUM_THREADS": "1"}
+               "MKL_NUM_THREADS": "1", "COLUMNS": COLUMNS}
         procs = {}
         for name, root in sides.items():
             (work / f"out-{name}").mkdir()

@@ -12,18 +12,22 @@ __version__ = "0.1.0"
 from .base import EstimatorResult, WindowPolicy
 from .dfa import estimate_dfa
 from .errors import HurstLabError
-from .montecarlo import (
-    CellReport,
-    MethodStats,
-    SimulationCell,
-    SimulationReport,
-    make_grid,
-    run_grid,
-)
 from .regression import RegressionFit
 from .rs import estimate_rs, estimate_rsal, expected_rs
-from .sampling import ExponentialSpec, exponential_rows
 from .vtp import estimate_vtp
+
+# The grid's and the sampler's names load on first access (PEP 562), so that
+# `hurstlab estimate`, which runs neither, imports neither.
+_LAZY = {
+    "SimulationCell": "montecarlo",
+    "MethodStats": "montecarlo",
+    "CellReport": "montecarlo",
+    "SimulationReport": "montecarlo",
+    "make_grid": "montecarlo",
+    "run_grid": "montecarlo",
+    "ExponentialSpec": "sampling",
+    "exponential_rows": "sampling",
+}
 
 # What the README and the demos call, and the types those calls take or
 # return; the kernels and their helpers stay in their modules.
@@ -47,3 +51,18 @@ __all__ = [
     "make_grid",
     "run_grid",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

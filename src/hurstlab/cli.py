@@ -14,6 +14,11 @@ environment variable, then the built-in default; it must lie in
 simulate writes its report and, beside it, one plot-data CSV per (method,
 iteration count). Two outputs that are one file, by name, symlink or hard
 link, exit 2 before any cell runs; :func:`_write_output` writes each.
+
+A call builds the options of its own subcommand only, and only simulate
+imports the grid (:mod:`hurstlab.montecarlo`) and, through it, the sampler:
+``estimate`` loads the estimators, :mod:`hurstlab.methods` and
+:mod:`hurstlab.report` alone.
 """
 
 from __future__ import annotations
@@ -33,14 +38,7 @@ from .errors import (
     InvalidWindow,
     SeriesError,
 )
-from .montecarlo import (
-    DEFAULT_ITERATION_COUNTS,
-    DEFAULT_LAMBDAS,
-    DEFAULT_SIZES,
-    METHODS,
-    make_grid,
-    run_grid,
-)
+from .methods import METHODS
 from .report import (
     estimates_to_csv,
     estimates_to_json,
@@ -85,40 +83,53 @@ def _policy_options(parser: argparse.ArgumentParser) -> None:
                         help="restrict VTP block sizes to divisors of N")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process; ``parse_args`` keeps no state
-    in it between calls, and every default is immutable."""
+COMMANDS = ("estimate", "simulate", "expected-rs")
+
+
+@functools.lru_cache(maxsize=len(COMMANDS) + 1)
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and command; ``parse_args``
+    keeps no state in it between calls, and every default is immutable.
+
+    Every subcommand has its parser, so the top-level usage and help stay
+    whole, but only *command*'s takes its options; ``None`` gives every
+    subcommand its options, for an argument list that does not start with
+    one. ``simulate``'s options load the grid's defaults."""
     parser = argparse.ArgumentParser(
         prog="hurstlab",
         description="Hurst exponent estimation and Monte Carlo comparison",
     )
     parser.add_argument("--version", action="version", version=f"hurstlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
     est = sub.add_parser("estimate", help="estimate H from a series file")
-    est.add_argument("input", help="series file: one observation per line, '#' comments")
-    est.add_argument("--method", choices=[*map(str.lower, METHODS), "all"], default="all")
-    est.add_argument("--format", choices=("json", "csv"), default="json")
-    _policy_options(est)
-    est.set_defaults(func=cmd_estimate)
-
     sim = sub.add_parser("simulate", help="run the Monte Carlo comparison grid")
-    sim.add_argument("--lambdas", type=float, nargs="+", default=DEFAULT_LAMBDAS)
-    sim.add_argument("--sizes", type=int, nargs="+", default=DEFAULT_SIZES)
-    sim.add_argument("--iteration-counts", type=int, nargs="+",
-                     default=DEFAULT_ITERATION_COUNTS)
-    sim.add_argument("--seed", type=int, default=None,
-                     help=f"master seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-    sim.add_argument("--out", default=None,
-                     help="report path (default hurst_report.<format>)")
-    sim.add_argument("--format", choices=("json", "csv"), default="json")
-    _policy_options(sim)
-    sim.set_defaults(func=cmd_simulate)
-
     exp = sub.add_parser("expected-rs", help="print E(R/S)_n correction values")
-    exp.add_argument("n", help="window length or inclusive range, e.g. 16 or 338..342")
-    exp.set_defaults(func=cmd_expected_rs)
+
+    if command in ("estimate", None):
+        est.add_argument("input", help="series file: one observation per line, '#' comments")
+        est.add_argument("--method", choices=[*map(str.lower, METHODS), "all"], default="all")
+        est.add_argument("--format", choices=("json", "csv"), default="json")
+        _policy_options(est)
+        est.set_defaults(func=cmd_estimate)
+
+    if command in ("simulate", None):
+        from .montecarlo import DEFAULT_ITERATION_COUNTS, DEFAULT_LAMBDAS, DEFAULT_SIZES
+
+        sim.add_argument("--lambdas", type=float, nargs="+", default=DEFAULT_LAMBDAS)
+        sim.add_argument("--sizes", type=int, nargs="+", default=DEFAULT_SIZES)
+        sim.add_argument("--iteration-counts", type=int, nargs="+",
+                         default=DEFAULT_ITERATION_COUNTS)
+        sim.add_argument("--seed", type=int, default=None,
+                         help=f"master seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
+        sim.add_argument("--out", default=None,
+                         help="report path (default hurst_report.<format>)")
+        sim.add_argument("--format", choices=("json", "csv"), default="json")
+        _policy_options(sim)
+        sim.set_defaults(func=cmd_simulate)
+
+    if command in ("expected-rs", None):
+        exp.add_argument("n", help="window length or inclusive range, e.g. 16 or 338..342")
+        exp.set_defaults(func=cmd_expected_rs)
 
     return parser
 
@@ -218,6 +229,8 @@ def _check_distinct_outputs(out: Path, plot_paths: list[Path]) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from .montecarlo import make_grid, run_grid
+
     policy = WindowPolicy(args.min_window, args.max_window_rule)
     seed = _resolve_seed(args.seed)
     try:
@@ -293,7 +306,9 @@ def cmd_expected_rs(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -10,6 +10,10 @@ Failure is a property of the data: a failed iteration is a NaN row of the
 method's batch. A configuration the method cannot estimate is not counted:
 its error (``InsufficientWindows``, say) propagates from the first chunk.
 
+Each chunk runs the method table, :data:`hurstlab.methods.METHODS`, which
+the CLI's ``estimate`` runs too; ``estimate`` imports neither this module
+nor :mod:`hurstlab.sampling`.
+
 The harness defaults to the sample-SD rescaled range (see
 :mod:`hurstlab.rs`): that is the convention under which the adjusted
 statistic recenters independent data on H = 0.5.
@@ -32,11 +36,9 @@ import numpy as np
 
 from . import __version__
 from .base import DEFAULT_POLICY, WindowPolicy
-from .dfa import dfa_batch
 from .errors import CellFailed, EmptyEstimates
-from .rs import rsal_batch
+from .methods import METHODS
 from .sampling import GENERATOR_NAME, ExponentialSpec, exponential_rows
-from .vtp import vtp_batch
 
 __all__ = [
     "TRUE_HURST",
@@ -57,16 +59,6 @@ __all__ = [
 
 # i.i.d. data has H = 0.5; every MSE in the comparison is measured against it.
 TRUE_HURST = 0.5
-
-# The method table, in report order: each grid method's batch call on a
-# (rows, N) matrix, given (policy, sd_mode, vtp_divisors_only). The grid and
-# the CLI both run it, and it calls each kernel through this module's
-# globals, so one patched name reaches both.
-METHODS = {
-    "RSAL": lambda x, policy, sd_mode, divisors_only: rsal_batch(x, policy, sd_mode),
-    "DFA": lambda x, policy, sd_mode, divisors_only: dfa_batch(x, policy),
-    "VTP": lambda x, policy, sd_mode, divisors_only: vtp_batch(x, divisors_only=divisors_only),
-}
 
 DEFAULT_LAMBDAS = (0.1, 0.5, 1.5, 3.0, 5.0, 7.0)
 DEFAULT_SIZES = (128, 256, 512, 1024)

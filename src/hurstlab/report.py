@@ -18,14 +18,7 @@ import numpy as np
 
 from .base import EstimatorResult, WindowPolicy
 from .errors import SeriesParseError
-from .montecarlo import (
-    METHODS,
-    CellReport,
-    MethodStats,
-    ReportMetadata,
-    SimulationCell,
-    SimulationReport,
-)
+from .methods import METHODS
 
 __all__ = [
     "read_series_file",
@@ -185,6 +178,10 @@ def report_to_json(report: SimulationReport) -> str:
 
 def report_from_json(text: str) -> SimulationReport:
     """Inverse of :func:`report_to_json` (duration comes back as 0)."""
+    # the report types load with the grid, which `hurstlab estimate` never runs
+    from .montecarlo import (CellReport, MethodStats, ReportMetadata, SimulationCell,
+                             SimulationReport)
+
     doc = json.loads(text)
     meta = doc["metadata"]
     metadata = ReportMetadata(
@@ -298,21 +295,30 @@ def _dumps_at(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-# One point of a "points" array, as json.dumps(indent=2) nests it in
-# estimates_to_json.
-_POINT_JSON = '        {\n          "scale": %d,\n          "statistic": %s\n        }'
+# The text of a "points" array, as json.dumps(indent=2) nests it in
+# estimates_to_json, around each point's scale and statistic: before the
+# first scale, between a scale and its statistic, between a statistic and the
+# next scale, and after the last statistic.
+_POINTS_OPEN = '[\n        {\n          "scale": '
+_POINT_MIDDLE = ',\n          "statistic": '
+_POINT_NEXT = '\n        },\n        {\n          "scale": '
+_POINTS_CLOSE = "\n        }\n      ]"
 
 
 def _points_json(r: EstimatorResult) -> str:
     """A result's "points" array, laid out as ``json.dumps(indent=2)`` nests it
     in :func:`estimates_to_json`. json's C encoder spells the statistics,
-    NaN and infinities included, and one ``%`` fills them in."""
-    if not r.scales.size:
+    NaN and infinities included, and one ``"".join`` interleaves them with
+    the scales and the layout's text."""
+    n = r.scales.size
+    if not n:
         return "[]"
-    statistics = json.dumps(r.statistics.tolist())[1:-1].split(", ")
-    values = tuple(itertools.chain.from_iterable(zip(r.scales.tolist(), statistics)))
-    items = ",\n".join([_POINT_JSON] * r.scales.size) % values
-    return f"[\n{items}\n      ]"
+    parts = [_POINT_NEXT, None, _POINT_MIDDLE, None] * n
+    parts[0] = _POINTS_OPEN
+    parts[1::4] = map(str, r.scales.tolist())
+    parts[3::4] = json.dumps(r.statistics.tolist())[1:-1].split(", ")
+    parts.append(_POINTS_CLOSE)
+    return "".join(parts)
 
 
 def _result_json(r: EstimatorResult) -> str:

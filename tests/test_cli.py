@@ -1,18 +1,23 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hurstlab.cli import (
+    COMMANDS,
     MAX_EXPECTED_RS_N,
     MAX_EXPECTED_RS_ROWS,
     MAX_SIMULATE_ITERATIONS,
     MAX_SIMULATE_SIZE,
     _write_output,
+    build_parser,
     main,
 )
 from hurstlab.montecarlo import METHODS
@@ -346,7 +351,7 @@ class TestSimulate:
         def reached(cells, *args, **kwargs):
             raise _GridReached(cells)
 
-        monkeypatch.setattr("hurstlab.cli.run_grid", reached)
+        monkeypatch.setattr("hurstlab.montecarlo.run_grid", reached)
         with pytest.raises(_GridReached) as grid:
             main(["simulate", "--lambdas", "0.5", "--sizes", str(MAX_SIMULATE_SIZE),
                   "--iteration-counts", "3", "--out", str(tmp_path / "r.json")])
@@ -356,7 +361,7 @@ class TestSimulate:
     def test_iteration_limit_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch,
                                                      count):
         # a cell allocates its estimates, three per iteration, before any draw
-        monkeypatch.setattr("hurstlab.cli.run_grid", _no_cell_may_run)
+        monkeypatch.setattr("hurstlab.montecarlo.run_grid", _no_cell_may_run)
         assert main([
             "simulate", "--lambdas", "0.5", "--sizes", "64",
             "--iteration-counts", "3", str(count), "--out", str(tmp_path / "r.json"),
@@ -371,7 +376,7 @@ class TestSimulate:
             raise _GridReached(cells)
 
         # the stub stands in for the grid: no cell of this size runs here
-        monkeypatch.setattr("hurstlab.cli.run_grid", reached)
+        monkeypatch.setattr("hurstlab.montecarlo.run_grid", reached)
         with pytest.raises(_GridReached) as grid:
             main(["simulate", "--lambdas", "0.5", "--sizes", "64", "--iteration-counts",
                   str(MAX_SIMULATE_ITERATIONS), "--out", str(tmp_path / "r.json")])
@@ -601,3 +606,72 @@ class TestExpectedRs:
         assert main(["expected-rs", text]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == (1 if ".." not in text else MAX_EXPECTED_RS_ROWS)
+
+
+class TestParserPerCommand:
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "series.txt"],
+        ["estimate", "series.txt", "--method", "dfa", "--format", "csv", "--min-window", "4",
+         "--max-window-rule", "full-N", "--sd-mode", "population", "--vtp-divisors-only"],
+        ["simulate"],
+        ["simulate", "--lambdas", "0.5", "2", "--sizes", "64", "--iteration-counts", "3",
+         "--seed", "9", "--out", "r.csv", "--format", "csv", "--vtp-divisors-only"],
+        ["expected-rs", "338..342"],
+    ])
+    def test_one_command_parses_as_the_full_parser(self, argv):
+        assert build_parser(argv[0]).parse_args(argv) == build_parser(None).parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [
+        *([command, "--help"] for command in COMMANDS),
+        ["estimate"], ["estimate", "f", "--method", "mle"], ["simulate", "--sizes", "x"],
+        ["expected-rs"], ["estimate", "f", "--lambdas", "1"], ["simulate", "--bogus"],
+    ])
+    def test_one_command_prints_as_the_full_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as one:
+            main(argv)
+        printed = capsys.readouterr()
+        with pytest.raises(SystemExit) as full:
+            build_parser(None).parse_args(argv)
+        assert capsys.readouterr() == printed and printed.out + printed.err
+        assert one.value.code == full.value.code
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    """Run *code* in a fresh interpreter that imports hurstlab from this
+    checkout's ``src``; returns its stdout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestColdStart:
+    def test_estimate_loads_neither_the_grid_nor_the_sampler(self, series_file):
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from hurstlab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = main(['estimate', sys.argv[1]])\n"
+            "names = ('hurstlab.montecarlo', 'hurstlab.sampling', 'numpy.random')\n"
+            "print(json.dumps([code, len(json.loads(out.getvalue())['results']),\n"
+            "                  [name for name in names if name in sys.modules]]))\n"
+        )
+        assert json.loads(_fresh_python(code, str(series_file(length=256)))) == [0, 3, []]
+
+    def test_every_exported_name_loads_on_access(self):
+        code = (
+            "import json, sys\n"
+            "import hurstlab\n"
+            "loaded = sorted(m for m in ('hurstlab.montecarlo', 'hurstlab.sampling')\n"
+            "                if m in sys.modules)\n"
+            "listed = dir(hurstlab)\n"
+            "star = {}\n"
+            "exec('from hurstlab import *', star)\n"
+            "print(json.dumps([loaded, hurstlab.__all__, listed, sorted(star)]))\n"
+        )
+        loaded, names, listed, star = json.loads(_fresh_python(code))
+        assert loaded == []
+        assert len(names) == 18
+        assert set(names) <= set(listed) and set(names) <= set(star)

@@ -108,7 +108,7 @@ class TestRunCell:
             fits = rsal_batch(x, policy, sd_mode)
             return replace(fits, hurst=np.full_like(fits.hurst, np.nan))
 
-        monkeypatch.setattr("hurstlab.montecarlo.rsal_batch", failed)
+        monkeypatch.setattr("hurstlab.methods.rsal_batch", failed)
         cell = SimulationCell(lam=1.0, length=64, iterations=9)
         with pytest.raises(CellFailed, match="RSAL failed on all 9 iterations"):
             run_cell(cell, 42)
@@ -124,7 +124,7 @@ class TestRunCell:
             seen["rows"] += x.shape[0]
             return replace(fits, hurst=np.where(row % 3 == 0, np.nan, fits.hurst))
 
-        monkeypatch.setattr("hurstlab.montecarlo.rsal_batch", flaky)
+        monkeypatch.setattr("hurstlab.methods.rsal_batch", flaky)
         cell = SimulationCell(lam=1.0, length=64, iterations=9)
         report = run_cell(cell, 42)
         assert report.methods["RSAL"].failure_count == 3

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurstlab import montecarlo
+from hurstlab import methods
 from hurstlab.base import EstimatorResult, WindowPolicy
 from hurstlab.dfa import estimate_dfa
 from hurstlab.errors import SeriesParseError
@@ -229,13 +229,13 @@ class TestJsonRoundTrip:
 
 
 def _grid_with_dfa_failures(monkeypatch):
-    real = montecarlo.dfa_batch
+    real = methods.dfa_batch
 
     def every_other_row_fails(x, policy):
         fits = real(x, policy)
         return replace(fits, hurst=np.where(np.arange(x.shape[0]) % 2, np.nan, fits.hurst))
 
-    monkeypatch.setattr(montecarlo, "dfa_batch", every_other_row_fails)
+    monkeypatch.setattr(methods, "dfa_batch", every_other_row_fails)
     report = run_grid(make_grid([0.5, 1.5], [32, 64], [3, 5]), 42)
     assert {c.methods["DFA"].failure_count for c in report.cells} == {1, 2}
     return report
