@@ -2,23 +2,26 @@
 milliseconds per cold VTP estimate, per series-file read, per cold
 ``estimate`` call, per estimate document and per one-cell ``simulate`` call,
 microseconds per short R/S and DFA window on the window-major and the axis
-path, and the minor page faults of each timed call.
+path, and the minor page faults of each timed call; or, with
+``--cold-start``, seconds per fresh-interpreter ``estimate`` and
+``simulate`` and the modules each imports.
 
 Usage, from anywhere:
 
     python3 scripts/time_kernels.py --root CHECKOUT --seed 1 --calls 200 \
-        [--chunk-elements K] [--path-sweep]
+        [--chunk-elements K] [--path-sweep | --cold-start]
 
 Imports hurstlab from ``CHECKOUT/src`` only, so two checkouts can be timed
-with one copy of this script. ``--chunk-elements K`` sets
-``montecarlo.CHUNK_ELEMENTS`` to K in this process before anything runs, so
-that each arm of a chunk-size sweep is one command; the program itself has
-no such setting. For N = 128 and N = 1024 it draws one chunk
+with one copy of this script (checkouts whose kernels' seam is
+``hurstlab.methods``, or any checkout with ``--cold-start``).
+``--chunk-elements K`` sets ``montecarlo.CHUNK_ELEMENTS`` to K in this
+process before anything runs, so that each arm of a chunk-size sweep is one
+command; the program itself has no such setting. For N = 128 and N = 1024 it draws one chunk
 of exponential series, as many rows as ``montecarlo.chunk_rows`` gives a
 simulation cell of that length, and times ``rsal_batch``, ``dfa_batch`` and
 ``vtp_batch`` on it after one warm-up call. The ``draw`` row times
 ``run_cell`` on a cell of one such chunk, seeded with ``--seed``, with the
-three kernels replaced by a stub at ``hurstlab.montecarlo.rsal_batch``,
+three kernels replaced by a stub at ``hurstlab.methods.rsal_batch``,
 ``dfa_batch`` and ``vtp_batch``: what is left is deriving and sampling the
 chunk's streams, plus the aggregation of one cell. If those rows run without
 calling the stub, the script stops with an error rather than time the real
@@ -104,10 +107,10 @@ share and CLI call are taken from perfbench's own modules, loaded read-only
 from the ``perfbench`` directory beside this script without writing
 bytecode, so the rows follow the benchmark if it changes. For each length
 the rows give the one-cell call's median milliseconds (``ms_per_call``) and
-its minor faults per call, and for each of ``rsal_batch``, ``dfa_batch``,
-``vtp_batch`` and ``exponential_rows``, wrapped at ``hurstlab.montecarlo``
-for the rounds only, its median microseconds (``us_per_call``) and minor
-faults per call. ``other_us_per_call`` is the median, over the one-cell
+its minor faults per call, and for each of ``rsal_batch``, ``dfa_batch`` and
+``vtp_batch``, wrapped at ``hurstlab.methods``, and ``exponential_rows``,
+wrapped at ``hurstlab.montecarlo``, for the rounds only, its median
+microseconds (``us_per_call``) and minor faults per call. ``other_us_per_call`` is the median, over the one-cell
 calls, of each call's time less the time it spent in those four seams: the
 fixed cost around the estimators (argument parsing, aggregation, report
 text and writes). ``probe_ms`` is the calibration kernel's median, a gauge
@@ -116,6 +119,20 @@ back and faults them in on the next call depends on the heap's layout,
 which unrelated small allocations move: the same commit can read 0 or
 hundreds of faults per call with a different environment or working
 directory, so compare the two sides under one launch.
+
+``--cold-start`` prints only the ``cold_start`` rows, which time fresh
+interpreters as perfbench's ``setup_s`` does, with perfbench's own
+``SetupTimer`` (run from CHECKOUT, ``sys.path`` led by its ``src``, each
+spawn scaled to the reference speed by ``import numpy`` spawns just before
+and after it): ``estimate`` of one file of perfbench's ``SETUP_LENGTH``
+(6008) exponential values, written as its set-up file is, and one-iteration
+``simulate`` of one cell at the Monte Carlo workloads' first rate and
+shortest length, ``--calls`` spawns of each, alternating. For each command
+the rows give the median scaled seconds (``setup_s``) and the median
+measured seconds (``measured_s``), and ``modules``, the hurstlab modules
+(and ``numpy.random``, if loaded) in ``sys.modules`` when the command
+returns. This mode imports no hurstlab in the script's own process, so it
+runs on any checkout.
 
 The perfbench tracer does not wrap these kernels, the chunk draw or the
 output writes, so their per-layer rows are timed here.
@@ -130,6 +147,7 @@ import itertools
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -151,7 +169,9 @@ SWEEP_SHAPES = ((50, 128), (50, 256), (25, 512), (25, 1024), (256, 128),
 SWEEP_WINDOW_MAX = 64
 WARM_VTP_LENGTH = 2048
 MC_ROUNDS = 12
-MC_SEAMS = ("rsal_batch", "dfa_batch", "vtp_batch", "exponential_rows")
+# each seam's name and the hurstlab module whose global it is
+MC_SEAMS = {"rsal_batch": "methods", "dfa_batch": "methods", "vtp_batch": "methods",
+            "exponential_rows": "montecarlo"}
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -233,9 +253,11 @@ def mc_sequence(workload: str, seed: int, perfbench: SimpleNamespace) -> dict:
             "--iteration-counts", str(scale.grid_iterations), "--seed", str(seed),
             "--out", str(Path(work, "grid.json"))])
         probes[0] = perfbench.calibration.probe()[0]
-        originals = {name: getattr(montecarlo, name) for name in MC_SEAMS}
+        seams = {name: importlib.import_module(f"hurstlab.{home}")
+                 for name, home in MC_SEAMS.items()}
+        originals = {name: getattr(module, name) for name, module in seams.items()}
         for name, func in originals.items():
-            setattr(montecarlo, name, wrap(name, func))
+            setattr(seams[name], name, wrap(name, func))
         try:
             for r in range(MC_ROUNDS):
                 for i, (lam, n) in enumerate(cells):
@@ -250,7 +272,7 @@ def mc_sequence(workload: str, seed: int, perfbench: SimpleNamespace) -> dict:
                         perfbench.workloads.PROBE_SHARE * elapsed)[0]
         finally:
             for name, func in originals.items():
-                setattr(montecarlo, name, func)
+                setattr(seams[name], name, func)
     metrics[f"{prefix}.probe_ms"] = float(np.median(probes)) * 1e3
     for n in sizes:
         shape = f"{prefix}.N{n}x{iterations}"
@@ -262,6 +284,54 @@ def mc_sequence(workload: str, seed: int, perfbench: SimpleNamespace) -> dict:
             metrics[f"{row}.minflt_per_call"] = float(faults.mean())
         other = tables["other", n][:filled["other", n], 0]
         metrics[f"{shape}.other_us_per_call"] = float(np.median(other)) * 1e6
+    return metrics
+
+
+# The command's hurstlab modules, listed on stdout once it returns; its own
+# output goes to the null device.
+MODULES_CODE = (
+    "import os, sys; sys.path.insert(0, 'src'); from hurstlab.cli import main; "
+    "out, sys.stdout = sys.stdout, open(os.devnull, 'w'); code = main(sys.argv[1:]); "
+    "print(*sorted(m for m in sys.modules "
+    "if m.split('.')[0] == 'hurstlab' or m == 'numpy.random'), file=out); "
+    "raise SystemExit(code)")
+
+
+def cold_start(root: Path, seed: int, spawns: int, perfbench: SimpleNamespace) -> dict:
+    """The ``cold_start`` rows: see the module docstring."""
+    import numpy as np
+
+    workloads = perfbench.workloads
+    lam, n_obs = workloads.FULL.lambdas[0], min(perfbench.run.MC_GRIDS["mc-short"][0])
+    metrics = {}
+    with tempfile.TemporaryDirectory(prefix="time_kernels-cold-") as work:
+        series = Path(work, "series-setup.txt")
+        workloads._write_series(
+            series, np.random.default_rng(seed).exponential(size=workloads.SETUP_LENGTH),
+            "set-up series")
+        commands = {
+            "estimate": ["estimate", str(series)],
+            "simulate": ["simulate", "--lambdas", str(lam), "--sizes", str(n_obs),
+                         "--iteration-counts", "1", "--seed", str(seed),
+                         "--out", str(Path(work, "setup.json"))],
+        }
+        result = workloads.Result()
+        timers = {name: workloads.SetupTimer(root, argv, spawns, result)
+                  for name, argv in commands.items()}
+        for _ in range(spawns):
+            for timer in timers.values():
+                timer.spawn()
+        if result.problems:
+            sys.exit("\n".join(result.problems))
+        for name, timer in timers.items():
+            prefix = f"cold_start.{name}"
+            metrics[f"{prefix}.setup_s"] = statistics.median(timer.times)
+            metrics[f"{prefix}.measured_s"] = statistics.median(timer.measured)
+            listed = subprocess.run([sys.executable, "-c", MODULES_CODE, *commands[name]],
+                                    cwd=root, capture_output=True, text=True)
+            if listed.returncode:
+                sys.exit(f"{name} exited {listed.returncode}: {listed.stderr}")
+            metrics[f"{prefix}.modules"] = listed.stdout.split()
     return metrics
 
 
@@ -310,6 +380,8 @@ def main() -> int:
                              "measured in this process")
     parser.add_argument("--path-sweep", action="store_true",
                         help="print only the path_sweep rows")
+    parser.add_argument("--cold-start", action="store_true",
+                        help="print only the cold_start rows, --calls spawns per command")
     args = parser.parse_args()
     if args.chunk_elements is not None and args.chunk_elements < 1:
         parser.error("--chunk-elements must be >= 1")
@@ -317,10 +389,14 @@ def main() -> int:
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[name] = "1"
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    if args.cold_start:
+        print(json.dumps({"seed": args.seed, "calls": args.calls, "metrics": cold_start(
+            args.root.resolve(), args.seed, args.calls, perfbench)}))
+        return 0
     sys.path.insert(0, str(args.root.resolve() / "src"))
     import numpy as np
 
-    from hurstlab import cli, montecarlo, vtp
+    from hurstlab import cli, methods, montecarlo, vtp
     from hurstlab.cli import main as cli_main
     from hurstlab.dfa import dfa_batch, estimate_dfa
     from hurstlab.report import estimates_to_json, read_series_file
@@ -394,8 +470,8 @@ def main() -> int:
         rows[n_obs] = montecarlo.chunk_rows(n_obs)
         print(f"N = {n_obs}: {rows[n_obs]} rows per chunk", file=sys.stderr)
         cell = montecarlo.SimulationCell(lam=1.5, length=n_obs, iterations=rows[n_obs])
-        kernels = montecarlo.rsal_batch, montecarlo.dfa_batch, montecarlo.vtp_batch
-        montecarlo.rsal_batch = montecarlo.dfa_batch = montecarlo.vtp_batch = stub_fit
+        kernels = methods.rsal_batch, methods.dfa_batch, methods.vtp_batch
+        methods.rsal_batch = methods.dfa_batch = methods.vtp_batch = stub_fit
         stub_calls = 0
         try:
             us_per_series(f"draw.N{n_obs}",
@@ -404,9 +480,9 @@ def main() -> int:
             us_per_series(f"draw_new_seed.N{n_obs}",
                           lambda: montecarlo.run_cell(cell, next(seeds)), rows[n_obs])
         finally:
-            montecarlo.rsal_batch, montecarlo.dfa_batch, montecarlo.vtp_batch = kernels
+            methods.rsal_batch, methods.dfa_batch, methods.vtp_batch = kernels
         if not stub_calls:
-            sys.exit("the draw rows never called the stub at hurstlab.montecarlo.rsal_batch, "
+            sys.exit("the draw rows never called the stub at hurstlab.methods.rsal_batch, "
                      "dfa_batch and vtp_batch: run_cell no longer reaches its kernels "
                      "through that seam, so the rows would time the real kernels")
         x = rng.exponential(size=(rows[n_obs], n_obs))
