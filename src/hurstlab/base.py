@@ -9,16 +9,19 @@ estimate is its one-row case. What a method's fits share at one series
 length and set of options, its scales and their log abscissae, is a
 :class:`FitPlan`, which each method builds once per (length, options) in a
 module-level cache of its own.
+
+Each type here is a :class:`~hurstlab.record.Record`: an immutable tuple
+that equals only a record of its own type with equal fields, so a
+:class:`WindowPolicy` is an ``lru_cache`` key.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (AllSubseriesDegenerate, InsufficientWindows, InvalidWindow,
                      NonPositiveStatistic, SeriesError, ZeroFluctuation, ZeroVariance)
+from .record import Record, integer
 from .regression import RegressionFit, abscissae, line_fit
 
 __all__ = [
@@ -57,8 +60,7 @@ FAILURES = {
 }
 
 
-@dataclass(frozen=True)
-class EstimatorResult:
+class EstimatorResult(Record):
     """Outcome of one Hurst estimation run.
 
     ``hurst`` is the method's mapping of ``fit.slope``: the identity for
@@ -68,12 +70,11 @@ class EstimatorResult:
     ambiguous; compare the fields.
     """
 
-    method: str
-    hurst: float
-    fit: RegressionFit
-    scales: np.ndarray
-    statistics: np.ndarray
-    warnings: tuple[str, ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, method: str, hurst: float, fit: RegressionFit, scales: np.ndarray,
+                statistics: np.ndarray, warnings: tuple[str, ...] = ()):
+        return tuple.__new__(cls, (method, hurst, fit, scales, statistics, warnings))
 
 
 def divisors(n: int) -> list[int]:
@@ -89,13 +90,14 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-@dataclass(frozen=True)
-class WindowPolicy:
+class WindowPolicy(Record):
     """Rule selecting the subseries lengths n used as regression abscissae.
 
     The window set is every integral divisor n of N with
     ``min_window <= n <= max``, where max is N/2 (``half-N``, the default)
     or N itself (``full-N``). DFA applies its own higher floor.
+    ``min_window`` is an integer (``operator.index``: a float, even 4.0,
+    raises InvalidWindow) of at least 2.
 
     The default starts at n = 2, whose R/S does not depend on the data: a
     pair differing by d has deviations -d/2 and d/2 and a profile ranging
@@ -120,17 +122,18 @@ class WindowPolicy:
     at H = 0.9, 0.377 against 0.361 at H = 0.3.
     """
 
-    min_window: int = 2
-    max_window_rule: str = "half-N"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.min_window < 2:
-            raise InvalidWindow(f"min_window must be >= 2, got {self.min_window}")
-        if self.max_window_rule not in MAX_WINDOW_RULES:
+    def __new__(cls, min_window: int = 2, max_window_rule: str = "half-N"):
+        min_window = integer(min_window, InvalidWindow, "min_window")
+        if min_window < 2:
+            raise InvalidWindow(f"min_window must be >= 2, got {min_window}")
+        if max_window_rule not in MAX_WINDOW_RULES:
             raise ValueError(
                 f"max_window_rule must be one of {MAX_WINDOW_RULES}, "
-                f"got {self.max_window_rule!r}"
+                f"got {max_window_rule!r}"
             )
+        return tuple.__new__(cls, (min_window, max_window_rule))
 
     def max_window(self, n_obs: int) -> int:
         return n_obs if self.max_window_rule == "full-N" else n_obs // 2
@@ -155,8 +158,7 @@ class WindowPolicy:
 DEFAULT_POLICY = WindowPolicy()
 
 
-@dataclass(frozen=True)
-class LogLogFits:
+class LogLogFits(Record):
     """Log-log regressions of a batch of equal-length series, one per row.
 
     ``statistics`` has one row per series and one column per scale of
@@ -165,13 +167,13 @@ class LogLogFits:
     FAILURES). ``hurst`` is the method's mapping of ``slope``.
     """
 
-    method: str
-    scales: np.ndarray
-    statistics: np.ndarray
-    slope: np.ndarray
-    intercept: np.ndarray
-    residual_rms: np.ndarray
-    hurst: np.ndarray
+    __slots__ = ()
+
+    def __new__(cls, method: str, scales: np.ndarray, statistics: np.ndarray,
+                slope: np.ndarray, intercept: np.ndarray, residual_rms: np.ndarray,
+                hurst: np.ndarray):
+        return tuple.__new__(cls, (method, scales, statistics, slope, intercept,
+                                   residual_rms, hurst))
 
     def result(self, row: int = 0) -> EstimatorResult:
         """The EstimatorResult of one row. A failed row raises the error
@@ -198,16 +200,17 @@ class LogLogFits:
                                scales=self.scales, statistics=stats, warnings=warnings)
 
 
-@dataclass(frozen=True)
-class FitPlan:
+class FitPlan(Record):
     """The scales of a method's log-log fits and the :func:`abscissae`
     triple of their logs: the window or block sizes as Python ints
     (``windows``, a tuple, or a range for VTP's default block sizes) and
     as a read-only int64 array (``scales``)."""
 
-    windows: tuple[int, ...] | range
-    scales: np.ndarray
-    abscissae: tuple[float, np.ndarray, float]
+    __slots__ = ()
+
+    def __new__(cls, windows: tuple[int, ...] | range, scales: np.ndarray,
+                abscissae: tuple[float, np.ndarray, float]):
+        return tuple.__new__(cls, (windows, scales, abscissae))
 
 
 def fit_plan(windows) -> FitPlan:

@@ -30,7 +30,6 @@ bit-identical however a cell is split into chunks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from . import __version__
 from .base import DEFAULT_POLICY, WindowPolicy
 from .errors import CellFailed, EmptyEstimates
 from .methods import METHODS
+from .record import Record, integer
 from .sampling import GENERATOR_NAME, ExponentialSpec, exponential_rows
 
 __all__ = [
@@ -77,56 +77,72 @@ DEFAULT_ITERATION_COUNTS = (100, 500, 1000)
 CHUNK_ELEMENTS = 32 * 1024
 
 
-@dataclass(frozen=True)
-class SimulationCell:
-    """One (lambda, series length, iteration count) grid cell."""
+class SimulationCell(Record):
+    """One (lambda, series length, iteration count) grid cell. The rate and
+    the length must make an :class:`~hurstlab.sampling.ExponentialSpec`,
+    else SeriesError; the count is an integer of at least 1, else
+    ValueError. An integer field takes no float, not even 4.0."""
 
-    lam: float
-    length: int
-    iterations: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        ExponentialSpec(self.lam, self.length)
+    def __new__(cls, lam: float, length: int, iterations: int):
+        iterations = integer(iterations, ValueError, "iterations")
+        if iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {iterations}")
+        length = ExponentialSpec(lam, length).length
+        return tuple.__new__(cls, (lam, length, iterations))
 
 
-@dataclass(frozen=True)
-class MethodStats:
+class MethodStats(Record):
     """Aggregates for one estimator within one cell."""
 
-    mean_hurst: float
-    mse: float
-    failure_count: int
+    __slots__ = ()
+
+    def __new__(cls, mean_hurst: float, mse: float, failure_count: int):
+        return tuple.__new__(cls, (mean_hurst, mse, failure_count))
 
 
-@dataclass(frozen=True, eq=True)
-class CellReport:
-    cell: SimulationCell
-    methods: dict[str, MethodStats]
+class CellReport(Record):
+    """One cell and its per-method aggregates, in report order."""
+
+    __slots__ = ()
+
+    def __new__(cls, cell: SimulationCell, methods: dict[str, MethodStats]):
+        return tuple.__new__(cls, (cell, methods))
 
 
-@dataclass(frozen=True)
-class ReportMetadata:
+class ReportMetadata(Record):
     """Everything needed to reproduce the numbers, plus wall-clock timing.
 
-    ``duration_seconds`` is informational and excluded from equality (and
-    from the JSON serialization), so reports compare by content.
+    ``duration_seconds``, the last field, is informational and excluded
+    from equality and hashing (and from the JSON serialization), so
+    reports compare by content.
     """
 
-    master_seed: int
-    generator: str
-    window_policy: WindowPolicy
-    sd_mode: str
-    vtp_divisors_only: bool
-    artifact_version: str
-    duration_seconds: float = field(default=0.0, compare=False)
+    __slots__ = ()
+
+    def __new__(cls, master_seed: int, generator: str, window_policy: WindowPolicy,
+                sd_mode: str, vtp_divisors_only: bool, artifact_version: str,
+                duration_seconds: float = 0.0):
+        return tuple.__new__(cls, (master_seed, generator, window_policy, sd_mode,
+                                   vtp_divisors_only, artifact_version, duration_seconds))
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self[:-1] == other[:-1]
+        return super().__eq__(other)
+
+    def __hash__(self):
+        return hash(self[:-1])
 
 
-@dataclass(frozen=True)
-class SimulationReport:
-    metadata: ReportMetadata
-    cells: tuple[CellReport, ...]
+class SimulationReport(Record):
+    """A grid run's metadata and its cell reports, in configuration order."""
+
+    __slots__ = ()
+
+    def __new__(cls, metadata: ReportMetadata, cells: tuple[CellReport, ...]):
+        return tuple.__new__(cls, (metadata, cells))
 
 
 def mse(estimates, true_h: float = TRUE_HURST) -> float:

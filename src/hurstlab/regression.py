@@ -45,11 +45,10 @@ window length) and pass it to :func:`line_fit` or :func:`window_major_rms`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateDesign
+from .record import Record
 
 __all__ = ["RegressionFit", "fit_rows"]
 
@@ -61,13 +60,13 @@ WINDOW_MAJOR_MAX = 32
 WINDOW_MAJOR_VALUES = 16
 
 
-@dataclass(frozen=True)
-class RegressionFit:
+class RegressionFit(Record):
     """Slope/intercept of a least-squares line plus residual diagnostics."""
 
-    slope: float
-    intercept: float
-    residual_rms: float
+    __slots__ = ()
+
+    def __new__(cls, slope: float, intercept: float, residual_rms: float):
+        return tuple.__new__(cls, (slope, intercept, residual_rms))
 
 
 def window_major(n: int, size: int) -> bool:

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SeriesError
+from .record import Record, integer
 from .series import _check_range
 
 __all__ = ["GENERATOR_NAME", "ExponentialSpec", "exponential_rows"]
@@ -147,24 +147,26 @@ def _generator(state) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(state))
 
 
-@dataclass(frozen=True)
-class ExponentialSpec:
-    """Rate parameter (lambda) and length of one exponential sample. Its draws
+class ExponentialSpec(Record):
+    """Rate parameter (lambda) and length of one exponential sample, a
+    :class:`~hurstlab.record.Record`. The length is an integer of at least 2
+    (``operator.index``: a float, even 128.0, raises SeriesError). Its draws
     must pass ``as_series``'s range rule: they reach _DRAW_MAX / lambda, and a
     sample that is not constant spreads at least _DRAW_GAP / lambda."""
 
-    lam: float
-    length: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise SeriesError(f"rate must be a finite positive number, got {self.lam}")
-        if self.length < 2:
-            raise SeriesError(f"sample length must be >= 2, got {self.length}")
-        top = _DRAW_MAX / self.lam
+    def __new__(cls, lam: float, length: int):
+        if not (lam > 0 and math.isfinite(lam)):
+            raise SeriesError(f"rate must be a finite positive number, got {lam}")
+        length = integer(length, SeriesError, "sample length")
+        if length < 2:
+            raise SeriesError(f"sample length must be >= 2, got {length}")
+        top = _DRAW_MAX / lam
         # a gap that underflows to 0 is still below the spread edge
-        gap = _DRAW_GAP / self.lam or math.ulp(0.0)
-        _check_range(self.length, top, gap, f"Exponential({self.lam!r}) draws")
+        gap = _DRAW_GAP / lam or math.ulp(0.0)
+        _check_range(length, top, gap, f"Exponential({lam!r}) draws")
+        return tuple.__new__(cls, (lam, length))
 
 
 def exponential_rows(master_seed: int, cell_id: int, start: int, stop: int,

@@ -654,11 +654,25 @@ class TestColdStart:
             "from hurstlab.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
             "    code = main(['estimate', sys.argv[1]])\n"
-            "names = ('hurstlab.montecarlo', 'hurstlab.sampling', 'numpy.random')\n"
+            "names = ('hurstlab.montecarlo', 'hurstlab.sampling', 'numpy.random', 'dataclasses')\n"
             "print(json.dumps([code, len(json.loads(out.getvalue())['results']),\n"
             "                  [name for name in names if name in sys.modules]]))\n"
         )
         assert json.loads(_fresh_python(code, str(series_file(length=256)))) == [0, 3, []]
+
+    def test_simulate_loads_no_dataclasses(self, tmp_path):
+        # the records are built without generated code, so nothing imports dataclasses
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from hurstlab.cli import main\n"
+            "with contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = main(['simulate', '--lambdas', '1.5', '--sizes', '128',\n"
+            "                 '--iteration-counts', '1', '--out', sys.argv[1]])\n"
+            "print(json.dumps([code, 'hurstlab.montecarlo' in sys.modules,\n"
+            "                  'dataclasses' in sys.modules]))\n"
+        )
+        out = str(tmp_path / "report.json")
+        assert json.loads(_fresh_python(code, out)) == [0, True, False]
 
     def test_every_exported_name_loads_on_access(self):
         code = (

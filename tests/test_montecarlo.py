@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -106,7 +104,7 @@ class TestRunCell:
     def test_cell_failed_when_every_row_fails(self, monkeypatch):
         def failed(x, policy, sd_mode):
             fits = rsal_batch(x, policy, sd_mode)
-            return replace(fits, hurst=np.full_like(fits.hurst, np.nan))
+            return fits._replace(hurst=np.full_like(fits.hurst, np.nan))
 
         monkeypatch.setattr("hurstlab.methods.rsal_batch", failed)
         cell = SimulationCell(lam=1.0, length=64, iterations=9)
@@ -122,7 +120,7 @@ class TestRunCell:
             fits = real(x, policy, sd_mode)
             row = seen["rows"] + np.arange(1, x.shape[0] + 1)
             seen["rows"] += x.shape[0]
-            return replace(fits, hurst=np.where(row % 3 == 0, np.nan, fits.hurst))
+            return fits._replace(hurst=np.where(row % 3 == 0, np.nan, fits.hurst))
 
         monkeypatch.setattr("hurstlab.methods.rsal_batch", flaky)
         cell = SimulationCell(lam=1.0, length=64, iterations=9)

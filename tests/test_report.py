@@ -1,7 +1,6 @@
 import json
 import os
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -233,7 +232,7 @@ def _grid_with_dfa_failures(monkeypatch):
 
     def every_other_row_fails(x, policy):
         fits = real(x, policy)
-        return replace(fits, hurst=np.where(np.arange(x.shape[0]) % 2, np.nan, fits.hurst))
+        return fits._replace(hurst=np.where(np.arange(x.shape[0]) % 2, np.nan, fits.hurst))
 
     monkeypatch.setattr(methods, "dfa_batch", every_other_row_fails)
     report = run_grid(make_grid([0.5, 1.5], [32, 64], [3, 5]), 42)
