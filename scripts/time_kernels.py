@@ -4,7 +4,8 @@ milliseconds per cold VTP estimate, per series-file read, per cold
 microseconds per short R/S and DFA window on the window-major and the axis
 path, and the minor page faults of each timed call; or, with
 ``--cold-start``, seconds per fresh-interpreter ``estimate`` and
-``simulate`` and the modules each imports.
+``simulate``, the modules each imports and microseconds per record
+construction.
 
 Usage, from anywhere:
 
@@ -129,10 +130,18 @@ and after it): ``estimate`` of one file of perfbench's ``SETUP_LENGTH``
 ``simulate`` of one cell at the Monte Carlo workloads' first rate and
 shortest length, ``--calls`` spawns of each, alternating. For each command
 the rows give the median scaled seconds (``setup_s``) and the median
-measured seconds (``measured_s``), and ``modules``, the hurstlab modules
-(and ``numpy.random``, if loaded) in ``sys.modules`` when the command
-returns. This mode imports no hurstlab in the script's own process, so it
-runs on any checkout.
+measured seconds (``measured_s``), and ``modules``, every module in
+``sys.modules`` when the command returns that a bare
+``python -c "import numpy"`` (perfbench's reference spawn) does not load,
+so a standard-library import that a command pulls in shows beside
+hurstlab's own. The ``records`` rows, also printed, time one warm
+interpreter run from CHECKOUT: microseconds per construction of a
+``LogLogFits``, a ``MethodStats`` and a ``SimulationCell`` by keyword and
+of a ``WindowPolicy`` by position, as the program builds each, and per
+``hash`` of a ``WindowPolicy`` (``records.*.us_per_call``, each the median
+of 9 ``timeit`` repeats of ``RECORD_CALLS`` calls through a lambda). This
+mode imports no hurstlab in the script's own process, so it runs on any
+checkout.
 
 The perfbench tracer does not wrap these kernels, the chunk draw or the
 output writes, so their per-layer rows are timed here.
@@ -287,19 +296,52 @@ def mc_sequence(workload: str, seed: int, perfbench: SimpleNamespace) -> dict:
     return metrics
 
 
-# The command's hurstlab modules, listed on stdout once it returns; its own
-# output goes to the null device.
+# Every module in sys.modules once the command returns, listed on stdout; its
+# own output goes to the null device.
 MODULES_CODE = (
     "import os, sys; sys.path.insert(0, 'src'); from hurstlab.cli import main; "
     "out, sys.stdout = sys.stdout, open(os.devnull, 'w'); code = main(sys.argv[1:]); "
-    "print(*sorted(m for m in sys.modules "
-    "if m.split('.')[0] == 'hurstlab' or m == 'numpy.random'), file=out); "
-    "raise SystemExit(code)")
+    "print(*sorted(sys.modules), file=out); raise SystemExit(code)")
+# The modules of a bare `python -c "import numpy"`, perfbench's spawn reference:
+# a command's ``modules`` row lists what it loads beyond these.
+NUMPY_MODULES_CODE = "import os, sys, numpy; print(*sorted(sys.modules))"
+# The ``records`` rows: warm microseconds per construction of four records,
+# built as the program builds them, and per hash of a WindowPolicy, each the
+# median of 9 timeit repeats of RECORD_CALLS calls (each through a lambda).
+RECORD_CALLS = 20000
+RECORDS_CODE = """\
+import json, statistics, sys, timeit
+sys.path.insert(0, 'src')
+import numpy as np
+from hurstlab.base import LogLogFits, WindowPolicy
+from hurstlab.montecarlo import MethodStats, SimulationCell
+a = np.zeros(50)
+policy = WindowPolicy(2, 'half-N')
+calls = {
+    'LogLogFits': lambda: LogLogFits(method='DFA', scales=a, statistics=a, slope=a,
+                                     intercept=a, residual_rms=a, hurst=a),
+    'MethodStats': lambda: MethodStats(mean_hurst=0.5, mse=0.01, failure_count=0),
+    'SimulationCell': lambda: SimulationCell(lam=1.5, length=128, iterations=50),
+    'WindowPolicy': lambda: WindowPolicy(2, 'half-N'),
+    'hash_WindowPolicy': lambda: hash(policy),
+}
+number = int(sys.argv[1])
+print(json.dumps({f'records.{name}.us_per_call':
+                  statistics.median(timeit.repeat(call, number=number, repeat=9)) / number * 1e6
+                  for name, call in calls.items()}))
+"""
 
 
 def cold_start(root: Path, seed: int, spawns: int, perfbench: SimpleNamespace) -> dict:
-    """The ``cold_start`` rows: see the module docstring."""
+    """The ``cold_start`` and ``records`` rows: see the module docstring."""
     import numpy as np
+
+    def child(code: str, *args: str) -> str:
+        run = subprocess.run([sys.executable, "-c", code, *args], cwd=root,
+                             capture_output=True, text=True)
+        if run.returncode:
+            sys.exit(f"a child interpreter exited {run.returncode}: {run.stderr}")
+        return run.stdout
 
     workloads = perfbench.workloads
     lam, n_obs = workloads.FULL.lambdas[0], min(perfbench.run.MC_GRIDS["mc-short"][0])
@@ -323,15 +365,14 @@ def cold_start(root: Path, seed: int, spawns: int, perfbench: SimpleNamespace) -
                 timer.spawn()
         if result.problems:
             sys.exit("\n".join(result.problems))
+        numpy_modules = set(child(NUMPY_MODULES_CODE).split())
         for name, timer in timers.items():
             prefix = f"cold_start.{name}"
             metrics[f"{prefix}.setup_s"] = statistics.median(timer.times)
             metrics[f"{prefix}.measured_s"] = statistics.median(timer.measured)
-            listed = subprocess.run([sys.executable, "-c", MODULES_CODE, *commands[name]],
-                                    cwd=root, capture_output=True, text=True)
-            if listed.returncode:
-                sys.exit(f"{name} exited {listed.returncode}: {listed.stderr}")
-            metrics[f"{prefix}.modules"] = listed.stdout.split()
+            metrics[f"{prefix}.modules"] = [
+                m for m in child(MODULES_CODE, *commands[name]).split() if m not in numpy_modules]
+    metrics.update(json.loads(child(RECORDS_CODE, str(RECORD_CALLS))))
     return metrics
 
 
@@ -381,7 +422,8 @@ def main() -> int:
     parser.add_argument("--path-sweep", action="store_true",
                         help="print only the path_sweep rows")
     parser.add_argument("--cold-start", action="store_true",
-                        help="print only the cold_start rows, --calls spawns per command")
+                        help="print only the cold_start rows, --calls spawns per command, "
+                             "and the records rows")
     args = parser.parse_args()
     if args.chunk_elements is not None and args.chunk_elements < 1:
         parser.error("--chunk-elements must be >= 1")

@@ -25,6 +25,11 @@ each iteration owns the RNG stream its (cell, iteration) key derives
 row's estimate runs along that row alone, and aggregation runs over the
 per-iteration estimates in fixed order. Reports are therefore
 bit-identical however a cell is split into chunks.
+
+The cell, its per-method aggregates and the report are records
+(:mod:`hurstlab.record`): immutable tuples that compare by type and
+fields, so two reports of one configuration are equal whatever their
+wall-clock durations. A cell's length and iteration count are integers.
 """
 
 from __future__ import annotations

@@ -27,6 +27,10 @@ O'Neill 2014 ("PCG: A family of simple fast space-efficient statistically
 good algorithms").
 ``tests/oracles.py`` keeps numpy's own per-row path, and the tests require
 every draw to equal it bit for bit.
+
+A draw's rate and length are an :class:`ExponentialSpec`, a record
+(:mod:`hurstlab.record`): immutable, compared and hashed by its fields, and
+checked when it is made, its length as an integer.
 """
 
 from __future__ import annotations
