@@ -2,7 +2,7 @@
 
 One implementation serves every line fit in this package: the log-log slope
 regressions that produce the Hurst estimates, and the within-window linear
-detrending inside DFA. :func:`fit_rows` fits every row of a batch against
+detrending inside DFA. :func:`line_fit` fits every row of a batch against
 one shared abscissa vector.
 Sums are centered (x - x_bar, y - y_bar) before any products are formed,
 which keeps the fit stable on the tightly clustered log-scale abscissae
@@ -37,10 +37,10 @@ bits, so which one a window takes may depend on the size of the chunk as
 well as on n, and a Monte Carlo report stays the same whatever the chunking.
 
 A fit needs its abscissae as the triple (x_bar, x - x_bar, Sxx) that
-:func:`abscissae` makes. :func:`fit_rows` makes it from raw abscissae on
-every call; the kernels take it from a plan built once per series length
-and options (``base.FitPlan``'s log scales, and DFA's ``t = 1..n`` per
-window length) and pass it to :func:`line_fit` or :func:`window_major_rms`.
+:func:`abscissae` makes. The kernels take it from a plan built once per
+series length and options (``base.FitPlan``'s log scales, and DFA's
+``t = 1..n`` per window length) and pass it to :func:`line_fit` or
+:func:`window_major_rms`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 from .errors import DegenerateDesign
 from .record import Record
 
-__all__ = ["RegressionFit", "fit_rows"]
+__all__ = ["RegressionFit", "line_fit"]
 
 #: Longest window that the kernels compute window-major.
 WINDOW_MAJOR_MAX = 32
@@ -144,23 +144,18 @@ def abscissae(x) -> tuple[float, np.ndarray, float]:
     return x_bar, xc, sxx
 
 
-def fit_rows(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares lines of every row of *y* against the shared abscissae *x*.
-
-    *x* has shape (m,) and *y* shape (..., m). Returns (slope, intercept,
-    residual_rms), each of shape ``y.shape[:-1]``. Every sum runs over
-    one row's values in numpy's order, so a row's fit is the same to the
-    bit whatever other rows share the batch; a NaN in a row makes that
-    row's fit NaN. Raises DegenerateDesign when m < 2 or all x coincide.
-    """
-    return line_fit(abscissae(x), y)
-
-
 def line_fit(absc, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`fit_rows` given the :func:`abscissae` triple of *x*. Two arrays
-    of *y*'s shape are made: the centred values, and one work array that
-    holds in turn their products with the abscissae, the fitted line, the
-    residuals and their squares."""
+    """Least-squares lines of every row of *y* against shared abscissae *x*,
+    given as their :func:`abscissae` triple (which raises DegenerateDesign
+    when there are fewer than 2 x values or all coincide).
+
+    *x* has m values and *y* shape (..., m). Returns (slope, intercept,
+    residual_rms), each of shape ``y.shape[:-1]``. Every sum runs over one
+    row's values in numpy's order, so a row's fit is the same to the bit
+    whatever other rows share the batch; a NaN in a row makes that row's
+    fit NaN. Two arrays of *y*'s shape are made: the centred values, and
+    one work array that holds in turn their products with the abscissae,
+    the fitted line, the residuals and their squares."""
     x_bar, xc, sxx = absc
     m = xc.shape[0]
     y_bar = np.add.reduce(y, axis=-1) / m

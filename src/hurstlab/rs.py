@@ -27,7 +27,6 @@ bits (``regression``'s docstring).
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
 
 import numpy as np
@@ -42,6 +41,7 @@ from .base import (
     loglog_fits,
 )
 from .errors import InvalidWindow
+from .record import integer
 from .regression import cumulate_rows, rows_sum, window_major, window_major_copy
 from .series import _ddof, as_series
 
@@ -123,10 +123,7 @@ def expected_rs(n: int) -> float:
     Evaluated through log-gamma so large n cannot overflow. *n* must be an
     integer >= 2, else InvalidWindow.
     """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise InvalidWindow(f"expected_rs needs an integer n, got {n!r}") from None
+    n = integer(n, InvalidWindow, "expected_rs n")
     if n < 2:
         raise InvalidWindow(f"expected_rs needs n >= 2, got {n}")
     if n <= 340:

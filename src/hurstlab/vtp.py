@@ -14,27 +14,27 @@ they are gathered one group of scales at a time, and a group holds fewer
 than 2 * :data:`GROUP_BLOCKS` blocks per row or the blocks of one scale, so
 the working memory is O(N). A group keeps one (rows, blocks) gather live,
 its block ends, and subtracts its block starts from it in tiles of whole
-rows, of at most :data:`START_GATHER_VALUES` values or one row. Per series
-length and scale set, only per-scale arrays are cached, and, for a set
-that is one group, its block ends and widths (fewer than 2 * GROUP_BLOCKS
-of each); a set of more groups builds those per group on every call. The
-default block sizes are a range (or, with ``divisors_only``, a tuple of
-divisors), so that neither their plan nor their per-call cache key takes
-a pass over N/4 Python ints; their log-log abscissae are cached per
-(length, ``divisors_only``). Explicit scales build theirs on every call.
+rows, of at most :data:`START_GATHER_VALUES` values or one row. Default and
+explicit block sizes share one plan per series length and scale set
+(:func:`_gather_plan`): the per-scale arrays, the FitPlan of the log-log
+fit, and, for a set that is one group, its block ends and widths (fewer
+than 2 * GROUP_BLOCKS of each); a set of more groups builds those per group
+on every call. The default block sizes are a range (or, with
+``divisors_only``, a tuple of divisors), so that neither their plan nor
+their per-call cache key takes a pass over N/4 Python ints.
 :func:`vtp_batch` is what the simulation grid runs, and
 :func:`estimate_vtp` is its one-row case.
 """
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 
 import numpy as np
 
 from .base import EstimatorResult, FitPlan, LogLogFits, divisors, loglog_fits
 from .errors import InsufficientWindows, ScaleTooLarge
+from .record import integer
 from .regression import abscissae
 from .series import as_series
 
@@ -63,39 +63,12 @@ def _default_ws(n_obs: int, divisors_only: bool) -> range | tuple[int, ...]:
 def _check_scale(n_obs: int, w) -> int:
     """*w* as a Python int, if it is an integer block size in [1, N/2], so
     that error messages listing block sizes never show numpy scalar reprs."""
-    try:
-        w = operator.index(w)
-    except TypeError:
-        raise ScaleTooLarge(f"block size must be an integer, got {w!r}") from None
+    w = integer(w, ScaleTooLarge, "block size")
     if w < 1:
         raise ScaleTooLarge(f"block size must be >= 1, got {w}")
     if w > n_obs // 2:
         raise ScaleTooLarge(f"block size w={w} exceeds N/2 = {n_obs // 2}")
     return w
-
-
-def _int64(ws) -> np.ndarray:
-    """Block sizes *ws* as an int64 array; a range with no pass over its ints."""
-    if isinstance(ws, range):
-        return np.arange(ws.start, ws.stop, ws.step, dtype=np.int64)
-    return np.array(ws, dtype=np.int64)
-
-
-def _scale_plan(ws: range | tuple[int, ...]) -> FitPlan:
-    """The FitPlan of block sizes *ws*, with *ws* as its windows; a range's
-    sizes are distinct without a set() of them."""
-    distinct = ws if isinstance(ws, range) else set(ws)
-    if len(distinct) < 2:
-        raise InsufficientWindows(f"need >= 2 distinct block sizes, got {sorted(distinct)}")
-    scales = _int64(ws)
-    scales.flags.writeable = False
-    return FitPlan(ws, scales, abscissae(np.log(scales.astype(float))))
-
-
-@lru_cache(maxsize=16)
-def _default_plan(n_obs: int, divisors_only: bool) -> FitPlan:
-    """The FitPlan of the default block sizes (:func:`_default_ws`)."""
-    return _scale_plan(_default_ws(n_obs, divisors_only))
 
 
 # About this many blocks per row are gathered at once (see _gather_plan).
@@ -121,17 +94,23 @@ def _blocks(w: np.ndarray, nb: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray,
 
 @lru_cache(maxsize=16)
 def _gather_plan(n_obs: int, ws: range | tuple[int, ...]):
-    """Per-scale block sizes and block counts, and the scale groups.
+    """VTP's plan for block sizes *ws*: per-scale block sizes and block
+    counts, the scale groups, and the FitPlan of *ws*.
 
     The blocks of each scale form one segment of the sequence of all
     blocks. A new group starts at a scale whose segment start reaches the
     next multiple of :data:`GROUP_BLOCKS`, and at a scale with more blocks
     than that, which is then a group by itself. Each group is (lo, hi, seg,
     blocks): the scales ``lo:hi``, their segment starts within the group,
-    and, when the set is one group, its :func:`_blocks`, else None. Every
-    array is read-only.
+    and, when the set is one group, its :func:`_blocks`, else None. The
+    FitPlan's scales are the block sizes array itself; it is None when *ws*
+    has fewer than 2 distinct sizes. Every array is read-only; a range's
+    sizes become an array with no pass over its ints.
     """
-    w = _int64(ws)
+    if isinstance(ws, range):
+        w = np.arange(ws.start, ws.stop, ws.step, dtype=np.int64)
+    else:
+        w = np.array(ws, dtype=np.int64)
     nb = n_obs // w
     seg_starts = np.cumsum(nb) - nb
     first = np.ones(w.size, dtype=bool)
@@ -145,7 +124,9 @@ def _gather_plan(n_obs: int, ws: range | tuple[int, ...]):
         arrays += [seg, *(blocks or ())]
     for a in arrays:
         a.flags.writeable = False
-    return w, nb, tuple(groups)
+    # a fit needs at least 2 distinct sizes: one differing from the first
+    plan = FitPlan(ws, w, abscissae(np.log(w.astype(float)))) if (w != w[:1]).any() else None
+    return w, nb, tuple(groups), plan
 
 
 def scale_variances(x: np.ndarray, ws: range | tuple[int, ...]) -> np.ndarray:
@@ -163,7 +144,7 @@ def scale_variances(x: np.ndarray, ws: range | tuple[int, ...]) -> np.ndarray:
     whole and subtracts its block starts gathered in tiles of whole rows, of
     at most :data:`START_GATHER_VALUES` values or one row.
     """
-    w, nb, groups = _gather_plan(x.shape[-1], ws)
+    w, nb, groups, _ = _gather_plan(x.shape[-1], ws)
     cs = np.zeros((x.shape[0], x.shape[-1] + 1))
     np.cumsum(x, axis=-1, out=cs[:, 1:])
     mean = np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
@@ -187,14 +168,19 @@ def scale_variances(x: np.ndarray, ws: range | tuple[int, ...]) -> np.ndarray:
 
 def vtp_batch(x: np.ndarray, scales=None, divisors_only: bool = False) -> LogLogFits:
     """VTP fits of every row of *x* (rows, N); a row with a zero or
-    overflowing variance at some block size fails (NaN). See
+    overflowing variance at some block size fails (NaN). The default and
+    the explicit block sizes alike take their FitPlan from
+    :func:`_gather_plan`'s cache, keyed by N and the sizes. See
     :func:`estimate_vtp`."""
     n_obs = x.shape[-1]
     if scales is None:
-        plan = _default_plan(n_obs, divisors_only)
+        ws = _default_ws(n_obs, divisors_only)
     else:
-        plan = _scale_plan(tuple(_check_scale(n_obs, w) for w in scales))
-    return loglog_fits("VTP", plan, scale_variances(x, plan.windows))
+        ws = tuple(_check_scale(n_obs, w) for w in scales)
+    plan = _gather_plan(n_obs, ws)[3]
+    if plan is None:
+        raise InsufficientWindows(f"need >= 2 distinct block sizes, got {sorted(set(ws))}")
+    return loglog_fits("VTP", plan, scale_variances(x, ws))
 
 
 def estimate_vtp(series, scales=None, divisors_only: bool = False) -> EstimatorResult:

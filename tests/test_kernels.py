@@ -7,7 +7,7 @@ which is what keeps a Monte Carlo report independent of how its cells are
 chunked. Short windows over enough values run window-major
 (``regression.window_major``), so whether a window takes that path depends
 on the batch's size; the window-major path must equal the reductions along
-the last axis, ``fit_rows`` among them, bit for bit.
+the last axis, ``line_fit`` among them, bit for bit.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ from hurstlab.regression import (
     WINDOW_MAJOR_MAX,
     WINDOW_MAJOR_VALUES,
     abscissae,
-    fit_rows,
+    line_fit,
     window_major,
     window_major_copy,
     window_major_rms,
@@ -144,10 +144,10 @@ def _assert_window_major_equals_axis(seg: np.ndarray) -> None:
     t = np.arange(1.0, n + 1.0)
     if n >= 3:
         _assert_bits_equal([_fluctuations(seg)],
-                           [fit_rows(t, np.cumsum(seg, axis=-1))[2]])
+                           [line_fit(abscissae(t), np.cumsum(seg, axis=-1))[2]])
     for x in (t, np.log(t + 1.0)):
         got = window_major_rms(abscissae(x), window_major_copy(seg))
-        _assert_bits_equal([got.reshape(seg.shape[:-1])], [fit_rows(x, seg)[2]])
+        _assert_bits_equal([got.reshape(seg.shape[:-1])], [line_fit(abscissae(x), seg)[2]])
     assert seg.tobytes() == given_bytes
 
 

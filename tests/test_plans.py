@@ -94,7 +94,7 @@ def test_plan_arrays_are_read_only(n_obs):
     policy = base.WindowPolicy(2)
     ws = vtp._default_ws(n_obs, False)
     plans = [rs._plan(n_obs, policy), dfa.dfa_plan(n_obs, policy), dfa._cached_profile_abscissae(16),
-             vtp._default_plan(n_obs, False), vtp._gather_plan(n_obs, ws)]
+             vtp._gather_plan(n_obs, ws)]
     arrays = list(_arrays(tuple(plans)))
     assert len(arrays) >= 13
     for a in arrays:

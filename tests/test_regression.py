@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hurstlab.errors import DegenerateDesign
-from hurstlab.regression import fit_rows, rows_sum
+from hurstlab.regression import abscissae, line_fit, rows_sum
 
 
 def _fit(x, y):
     """(slope, intercept, residual_rms) of one line through the points (x, y)."""
-    slope, intercept, rms = fit_rows(x, np.asarray(y, dtype=float)[None, :])
+    slope, intercept, rms = line_fit(abscissae(x), np.asarray(y, dtype=float)[None, :])
     return float(slope[0]), float(intercept[0]), float(rms[0])
 
 
@@ -23,7 +23,7 @@ def _fit_profile(profile):
 
 class TestOlsFit:
     def test_exact_line(self):
-        slope, intercept, rms = fit_rows([1, 2, 3], np.array([[3.0, 5.0, 7.0]]))
+        slope, intercept, rms = line_fit(abscissae([1, 2, 3]), np.array([[3.0, 5.0, 7.0]]))
         assert slope.shape == intercept.shape == rms.shape == (1,)
         assert slope[0] == pytest.approx(2.0, abs=1e-12)
         assert intercept[0] == pytest.approx(1.0, abs=1e-12)
@@ -54,7 +54,7 @@ class TestOlsFit:
         for _ in range(25):
             x = rng.uniform(-5, 5, size=rng.integers(3, 40))
             y = rng.normal(size=(4, x.size))
-            slopes, intercepts, _ = fit_rows(x, y)
+            slopes, intercepts, _ = line_fit(abscissae(x), y)
             for row, slope, intercept in zip(y, slopes, intercepts):
                 want_slope, want_intercept = np.polyfit(x, row, 1)
                 assert slope == pytest.approx(want_slope, abs=1e-10)
@@ -97,9 +97,9 @@ class TestOlsFit:
         for m in (2, 5, 16, 33, 200):
             x = np.log(np.arange(1.0, m + 1.0))
             batch = rng.exponential(size=(3, 7, m))
-            fits = fit_rows(x, batch)
+            fits = line_fit(abscissae(x), batch)
             for i, j in ((0, 0), (1, 3), (2, 6)):
-                alone = fit_rows(x, batch[i, j][None, :])
+                alone = line_fit(abscissae(x), batch[i, j][None, :])
                 for got, want in zip(fits, alone):
                     assert got[i, j] == want[0]
 

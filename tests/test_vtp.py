@@ -195,8 +195,17 @@ class TestEstimateVtp:
                 estimate_vtp(series, scales=[1, bad, 4])
 
     def test_insufficient_scales(self, exp_series):
-        with pytest.raises(InsufficientWindows):
-            estimate_vtp(exp_series(64, seed=45), scales=[4])
+        # [4, 4] is two sizes but one distinct: no slope, and no DegenerateDesign
+        for scales in ([4], [4, 4]):
+            with pytest.raises(InsufficientWindows, match="distinct"):
+                estimate_vtp(exp_series(64, seed=45), scales=scales)
+
+    def test_explicit_scales_plan_is_cached(self, exp_series):
+        # explicit block sizes share the default sizes' plan cache, so a
+        # second call reuses the first one's read-only scales array
+        x = exp_series(64, seed=46)[None, :]
+        first = vtp_batch(x, scales=(1, 2, 4, 8))
+        assert vtp_batch(x, scales=(1, 2, 4, 8)).scales is first.scales
 
     def test_zero_variance_propagates(self):
         with pytest.raises(ZeroVariance):
